@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint lint-bench build test race fuzz-smoke bench modelcheck-smoke fault-smoke fault-verify-smoke shard-smoke batch-smoke
+.PHONY: check fmt vet lint lint-bench build test race fuzz-smoke bench modelcheck-smoke fault-smoke fault-verify-smoke batch-smoke
 
 # check chains the full tier-1 verify: formatting, vet, the oblint
 # model-invariant analyzer, build, and tests.
@@ -157,31 +157,12 @@ fault-verify-smoke:
 	@echo "fault-aware reports identical at workers=1 and workers=4 (finite and budget-aborted); supervisor race-clean"
 	@rm -f .fverify-w1.json .fverify-w4.json .fverify-div-w1.json .fverify-div-w4.json
 
-# shard-smoke proves the sharded engine's determinism contract end to
-# end: two parallel runs with identical parameters — randomized
-# scheduler, geometric IDs, flat bank, 7 arcs — must produce
-# byte-identical output regardless of how the OS interleaves the arc
-# workers, and the sharded/flat paths must be race-clean. The
-# event-level equivalence against the sequential engine is the
-# TestShardedMatchesSequentialReference differential inside the race
-# run.
-shard-smoke:
-	$(GO) run ./cmd/ringsim -algo alg1 -n 20000 -idgen geometric -shards 7 -flat \
-		-sched random -seed 3 2>/dev/null > .shard-run-a.txt
-	$(GO) run ./cmd/ringsim -algo alg1 -n 20000 -idgen geometric -shards 7 -flat \
-		-sched random -seed 3 2>/dev/null > .shard-run-b.txt
-	cmp .shard-run-a.txt .shard-run-b.txt
-	$(GO) test -race -run 'Shard|Flat' ./internal/sim/
-	@echo "sharded replays byte-identical; sharded/flat paths race-clean"
-	@rm -f .shard-run-a.txt .shard-run-b.txt
-
 # batch-smoke proves the batch fast path's determinism contract: two
 # identical batched runs — Heaviest scheduler, consecutive IDs, flat
-# bank, sequential engine — must be byte-identical (including the
-# transition/coalescing counts), and the batch path must be race-clean.
-# The event-level equivalence against the run-expanded sequential
-# reference is the TestBatchedMatchesExpandedReference differential
-# inside the race run.
+# bank — must be byte-identical (including the transition/coalescing
+# counts), and the batch path must be race-clean. The event-level
+# equivalence against the run-expanded pulse-by-pulse reference is the
+# TestBatchedMatchesExpandedReference differential inside the race run.
 batch-smoke:
 	$(GO) run ./cmd/ringsim -algo alg2 -n 4096 -idgen consecutive -flat -batch \
 		-sched heaviest -seed 3 2>/dev/null > .batch-run-a.txt

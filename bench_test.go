@@ -191,89 +191,48 @@ func BenchmarkAnonymous(b *testing.B) {
 	}
 }
 
-// BenchmarkAlg2Sharded is E15's exact-complexity axis: Theorem 1
-// workloads (IDs 1..n, so pulses/op = n(2n+1)) on the sharded parallel
-// engine with a struct-of-arrays bank across 8 arcs. The n ceiling is
-// the algorithm's, not the engine's: Algorithm 2 needs distinct IDs, so
-// ID_max >= n and the pulse count grows as Theta(n^2) — n=4096 is
-// already 3.4e7 pulses. Million-node elections ride the sampled-ID
-// family below, whose pulse count is Theta(n log n).
-func BenchmarkAlg2Sharded(b *testing.B) {
-	for _, n := range []int{256, 1024, 4096} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			topo, err := ring.Oriented(n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ids := ring.ConsecutiveIDs(n)
-			pred := core.PredictedAlg2Pulses(n, uint64(n))
-			var pulses uint64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bank, err := core.NewFlatAlg2(topo, ids)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := sim.NewShardedFlat(topo, bank, 8, sim.StockSharded(1)["canonical"])
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := s.Run(4*pred + 1024)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Sent != pred {
-					b.Fatalf("pulses %d != predicted %d", res.Sent, pred)
-				}
-				pulses += res.Sent
-			}
-			b.ReportMetric(float64(pulses)/float64(b.N), "pulses/op")
-		})
-	}
-}
-
-// BenchmarkAlg1SampledSharded is E15's scale axis: Algorithm 1 with
+// BenchmarkAlg1Geometric is E15's scale axis: Algorithm 1 with
 // geometric ID values (ID_max concentrates around 4·log2 n, duplicates
 // tolerated per Lemma 16), the regime where million-node rings cost
-// Theta(n log n) pulses. Exercises the sharded engine's whole surface —
-// arc workers, epoch barriers, the flat bank, and the inline thin-epoch
-// path on the wavefront tail.
-func BenchmarkAlg1SampledSharded(b *testing.B) {
-	for _, n := range []int{65536, 1048576} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			topo, err := ring.Oriented(n)
+// Theta(n log n) pulses. The sub-benchmark name pins the configuration
+// E15 runs: the sequential engine over a flat bank with the batch fast
+// path and the Heaviest scheduler. Every op must cost exactly
+// n·ID_max pulses (Corollary 13).
+func BenchmarkAlg1Geometric(b *testing.B) {
+	const n = 65536
+	b.Run(fmt.Sprintf("engine=seq/batch/sched=heaviest/n=%d", n), func(b *testing.B) {
+		topo, err := ring.Oriented(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		ids := make([]uint64, n)
+		for i := range ids {
+			ids[i] = 1 + uint64(core.SampleBitCount(rng, 2))
+		}
+		pred := core.PredictedAlg1Pulses(n, ring.MaxID(ids))
+		var pulses uint64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			bank, err := core.NewFlatAlg1(topo, ids)
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(7))
-			ids := make([]uint64, n)
-			for i := range ids {
-				ids[i] = 1 + uint64(core.SampleBitCount(rng, 2))
+			s, err := sim.NewFlat(topo, bank, sim.Heaviest{}, sim.WithBatching())
+			if err != nil {
+				b.Fatal(err)
 			}
-			pred := core.PredictedAlg1Pulses(n, ring.MaxID(ids))
-			var pulses uint64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bank, err := core.NewFlatAlg1(topo, ids)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := sim.NewShardedFlat(topo, bank, 8, sim.StockSharded(1)["canonical"])
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := s.Run(4*pred + 1024)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Sent != pred {
-					b.Fatalf("pulses %d != predicted %d", res.Sent, pred)
-				}
-				pulses += res.Sent
+			res, err := s.Run(4*pred + 1024)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(pulses)/float64(b.N), "pulses/op")
-		})
-	}
+			if res.Sent != pred {
+				b.Fatalf("pulses %d != predicted n·ID_max = %d", res.Sent, pred)
+			}
+			pulses += res.Sent
+		}
+		b.ReportMetric(float64(pulses)/float64(b.N), "pulses/op")
+	})
 }
 
 // BenchmarkAlg2FlatOriented isolates the struct-of-arrays bank on the

@@ -9,7 +9,7 @@
 //	ringsim -algo anonymous -n 8 -c 2 -seed 7
 //	ringsim -algo alg2 -ids 1,2,3 -live
 //	ringsim -algo alg1 -ids 4,9,2,7 -faults corrupt -fault-budget 2
-//	ringsim -algo alg1 -n 1000000 -idgen geometric -shards 8 -flat -sched canonical
+//	ringsim -algo alg1 -n 1000000 -idgen geometric -flat -batch -sched heaviest
 //	ringsim -algo alg2 -n 1000000 -idgen consecutive -flat -batch -sched heaviest
 package main
 
@@ -44,7 +44,7 @@ func run() error {
 	algo := flag.String("algo", "alg2", "algorithm: alg1 | alg2 | alg3 | anonymous")
 	idsFlag := flag.String("ids", "", "comma-separated node IDs in clockwise order (alg1/alg2/alg3)")
 	flipsFlag := flag.String("flips", "", "comma-separated 0/1 port flips (alg3/anonymous; default oriented)")
-	n := flag.Int("n", 8, "ring size (anonymous and -shards modes)")
+	n := flag.Int("n", 8, "ring size (anonymous and scale modes)")
 	c := flag.Float64("c", 2, "Algorithm 4 reliability parameter (anonymous, -idgen geometric/alg4)")
 	sched := flag.String("sched", "random", "scheduler: canonical | newest | random | roundrobin | ccw-first | cw-first | flaky | hashdelay | heaviest")
 	seed := flag.Int64("seed", 1, "seed for randomized components")
@@ -57,21 +57,19 @@ func run() error {
 	faultBudget := flag.Int("fault-budget", 1, "number of injections to schedule (with -faults)")
 	faultTrigger := flag.String("fault-trigger", "local", "trigger mode for -faults: local (per-entity event ordinals) | window (ring-wide delivery ordinals)")
 	heal := flag.String("heal", "", "with -live -faults: supervise crashes and revive nodes (checkpoint | init)")
-	shards := flag.Int("shards", 0, "run the sharded parallel engine with this many ring arcs (0 = sequential scale engine with -flat/-batch, else classic modes)")
 	flat := flag.Bool("flat", false, "use the struct-of-arrays machine bank (scale mode)")
 	batch := flag.Bool("batch", false, "coalesce pulse runs into O(1) batch transitions (scale mode; best with -sched heaviest)")
 	idgen := flag.String("idgen", "consecutive", "ID generation for scale-mode runs without -ids: consecutive | geometric | alg4")
 	flag.Parse()
 
-	// -shards, -flat, and -batch all select scale mode: the engines that
-	// reach million-node rings. -shards 0 there means the sequential
-	// engine, whose -batch fast path does the run coalescing measured in
-	// EXPERIMENTS.md E16.
-	if *shards != 0 || *flat || *batch {
+	// -flat and -batch select scale mode: the configurations that reach
+	// million-node rings. The -batch fast path does the run coalescing
+	// measured in EXPERIMENTS.md E15 and E16.
+	if *flat || *batch {
 		if *liveRun || *doTrace || *diagram || *faults != "" || *flipsFlag != "" {
-			return fmt.Errorf("scale mode (-shards/-flat/-batch) does not combine with -live/-trace/-diagram/-faults/-flips")
+			return fmt.Errorf("scale mode (-flat/-batch) does not combine with -live/-trace/-diagram/-faults/-flips")
 		}
-		return runScale(*algo, *idsFlag, *idgen, *n, *c, *sched, *seed, *shards, *flat, *batch)
+		return runScale(*algo, *idsFlag, *idgen, *n, *c, *sched, *seed, *flat, *batch)
 	}
 
 	if *faults != "" {

@@ -1,6 +1,6 @@
 package main
 
-// Wall-clock reporting for long sharded runs lives in this file alone:
+// Wall-clock reporting for long scale runs lives in this file alone:
 // it is the one place in cmd/ringsim allowed to read real time (see
 // internal/lint policy TimeExemptFiles). Simulation logic never does.
 
@@ -10,58 +10,18 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"coleader/internal/pulse"
-	"coleader/internal/sim"
 )
 
-// progressEvery paces the stderr progress line of a sharded run.
+// progressEvery paces the stderr progress line of a scale run.
 const progressEvery = 5 * time.Second
 
-// watchProgress reports a running sharded election to stderr every few
-// seconds — delivered/sent pulses against the predicted total, completed
-// epochs, runs coalesced (batch mode), and resident set size — and
-// prints one final timing line when the returned stop function runs.
-// Sharded.Progress and Sharded.ProgressRuns are the engine's only
-// concurrency-safe accessors, so the reporter touches nothing else.
-func watchProgress(s *sim.Sharded[pulse.Pulse], predicted uint64, batch bool) (stop func()) {
-	start := time.Now()
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(progressEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				delivered, sent, epochs := s.Progress()
-				line := fmt.Sprintf("ringsim: %s  delivered=%d/%d sent=%d epochs=%d",
-					time.Since(start).Round(time.Second), delivered, predicted, sent, epochs)
-				if batch {
-					runs, coalesced := s.ProgressRuns()
-					line += fmt.Sprintf(" runs=%d coalesced=%d", runs, coalesced)
-				}
-				fmt.Fprintf(os.Stderr, "%s rss=%dMB\n", line, rssMB())
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-		delivered, _, epochs := s.Progress()
-		fmt.Fprintf(os.Stderr, "ringsim: finished in %s  delivered=%d epochs=%d peak-rss=%dMB\n",
-			time.Since(start).Round(time.Millisecond), delivered, epochs, rssMB())
-	}
-}
-
-// watchWall is the sequential-engine sibling of watchProgress. The
-// sequential Sim has no concurrency-safe counters — its hot loop stays
-// free of atomics — so the ticker reports only what is safe from
-// another goroutine: elapsed wall time and resident set size. Delivery
-// and coalescing totals appear in the caller's end-of-run summary.
+// watchWall reports a running scale election to stderr every few
+// seconds and prints one final timing line when the returned stop
+// function runs. The simulator has no concurrency-safe counters — its
+// hot loop stays free of atomics — so the ticker reports only what is
+// safe from another goroutine: elapsed wall time and resident set size.
+// Delivery and coalescing totals appear in the caller's end-of-run
+// summary.
 func watchWall() (stop func()) {
 	start := time.Now()
 	done := make(chan struct{})
@@ -76,7 +36,7 @@ func watchWall() (stop func()) {
 				return
 			case <-t.C:
 				fmt.Fprintf(os.Stderr, "ringsim: %s  rss=%dMB\n",
-					time.Since(start).Round(time.Second), rssMB())
+					time.Since(start).Round(time.Second), statusMB("VmRSS:"))
 			}
 		}
 	}()
@@ -84,19 +44,20 @@ func watchWall() (stop func()) {
 		close(done)
 		<-finished
 		fmt.Fprintf(os.Stderr, "ringsim: finished in %s  peak-rss=%dMB\n",
-			time.Since(start).Round(time.Millisecond), rssMB())
+			time.Since(start).Round(time.Millisecond), statusMB("VmHWM:"))
 	}
 }
 
-// rssMB returns the process's current resident set size in MiB, read
-// from /proc/self/status; 0 where the file or field is unavailable.
-func rssMB() uint64 {
+// statusMB returns a memory field of /proc/self/status in MiB — VmRSS
+// is the current resident set size, VmHWM its peak; 0 where the file or
+// field is unavailable.
+func statusMB(field string) uint64 {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		return 0
 	}
 	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmRSS:") {
+		if !strings.HasPrefix(line, field) {
 			continue
 		}
 		fields := strings.Fields(line)

@@ -11,17 +11,14 @@ import (
 	"coleader/internal/sim"
 )
 
-// runScale executes one election on the scale engines. With -shards it
-// uses the sharded parallel engine — the mode that reaches 10^6-10^7
-// node rings by splitting the ring into arcs. With -shards 0 it runs
-// the sequential engine, which with -batch and -sched heaviest coalesces
-// pulse runs into O(1) transitions and covers million-node rings on a
-// single core. IDs come from -ids for small runs or from a generator
-// for large ones; -flat switches the machine bank to the
-// struct-of-arrays representation, the memory-lean configuration
-// million-node runs want.
+// runScale executes one election on the scale engine: the sequential
+// simulator, which with -batch and -sched heaviest coalesces pulse runs
+// into O(1) transitions and covers million-node rings on a single core.
+// IDs come from -ids for small runs or from a generator for large ones;
+// -flat switches the machine bank to the struct-of-arrays
+// representation, the memory-lean configuration million-node runs want.
 func runScale(algo, idsFlag, idgen string, n int, c float64,
-	schedName string, seed int64, shards int, flat, batch bool) error {
+	schedName string, seed int64, flat, batch bool) error {
 	var ids []uint64
 	if idsFlag != "" {
 		parsed, err := parseIDs(idsFlag)
@@ -56,19 +53,12 @@ func runScale(algo, idsFlag, idgen string, n int, c float64,
 			return fmt.Errorf("unknown -idgen %q (want consecutive | geometric | alg4)", idgen)
 		}
 	}
-	if shards < 0 {
-		return fmt.Errorf("-shards must be non-negative (got %d)", shards)
-	}
-	if shards > 0 && shards > n/2 {
-		return fmt.Errorf("-shards %d too large for a %d-node ring: each arc needs at least two nodes (max %d)",
-			shards, n, n/2)
-	}
 	topo, err := ring.Oriented(n)
 	if err != nil {
 		return err
 	}
 
-	// Build the machine bank once; both engines consume the same one.
+	// Build the machine bank: a flat bank with -flat, else pointer machines.
 	idMax := ring.MaxID(ids)
 	var predicted uint64
 	var bank node.FlatPulseMachine
@@ -102,60 +92,29 @@ func runScale(algo, idsFlag, idgen string, n int, c float64,
 		return err
 	}
 
-	var (
-		res                sim.Result
-		runErr             error
-		transitions, multi uint64
-	)
-	if shards == 0 {
-		sched, ok := sim.Stock(seed)[schedName]
-		if !ok {
-			return fmt.Errorf("unknown scheduler %q", schedName)
-		}
-		var opts []sim.Option[pulse.Pulse]
-		if batch {
-			opts = append(opts, sim.WithBatching())
-		}
-		var s *sim.Sim[pulse.Pulse]
-		if flat {
-			s, err = sim.NewFlat(topo, bank, sched, opts...)
-		} else {
-			s, err = sim.New(topo, ms, sched, opts...)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("sequential run: algo=%s n=%d idgen=%s id-max=%d sched=%s flat=%t batch=%t\n",
-			algo, n, describeIDs(idsFlag, idgen), idMax, schedName, flat, batch)
-		stop := watchWall()
-		res, runErr = s.Run(4*predicted + 1024)
-		stop()
-		transitions, multi = s.RunsCoalesced()
-	} else {
-		mk, ok := sim.StockSharded(seed)[schedName]
-		if !ok {
-			return fmt.Errorf("unknown scheduler %q", schedName)
-		}
-		var opts []sim.ShardOption[pulse.Pulse]
-		if batch {
-			opts = append(opts, sim.WithShardBatching())
-		}
-		var s *sim.Sharded[pulse.Pulse]
-		if flat {
-			s, err = sim.NewShardedFlat(topo, bank, shards, mk, opts...)
-		} else {
-			s, err = sim.NewSharded(topo, ms, shards, mk, opts...)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("sharded run: algo=%s n=%d idgen=%s id-max=%d shards=%d sched=%s flat=%t batch=%t\n",
-			algo, n, describeIDs(idsFlag, idgen), idMax, s.Shards(), schedName, flat, batch)
-		stop := watchProgress(s, predicted, batch)
-		res, runErr = s.Run(4*predicted + 1024)
-		stop()
-		transitions, multi = s.RunsCoalesced()
+	sched, ok := sim.Stock(seed)[schedName]
+	if !ok {
+		return fmt.Errorf("unknown scheduler %q", schedName)
 	}
+	var opts []sim.Option[pulse.Pulse]
+	if batch {
+		opts = append(opts, sim.WithBatching())
+	}
+	var s *sim.Sim[pulse.Pulse]
+	if flat {
+		s, err = sim.NewFlat(topo, bank, sched, opts...)
+	} else {
+		s, err = sim.New(topo, ms, sched, opts...)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("sequential run: algo=%s n=%d idgen=%s id-max=%d sched=%s flat=%t batch=%t\n",
+		algo, n, describeIDs(idsFlag, idgen), idMax, schedName, flat, batch)
+	stop := watchWall()
+	res, runErr := s.Run(4*predicted + 1024)
+	stop()
+	transitions, multi := s.RunsCoalesced()
 	if runErr != nil {
 		return runErr
 	}

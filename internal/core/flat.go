@@ -12,7 +12,7 @@ import (
 // holding every node's state in per-field slices instead of one heap
 // object per node. A 10⁷-node Alg2 bank is six uint64 slices and two
 // byte slices — a few hundred MB with zero per-node pointers — which is
-// what lets the sharded simulator elect over million-node rings.
+// what lets the simulator elect over million-node rings.
 //
 // Each bank mirrors its pointer machine (alg1.go / alg2.go / alg3.go)
 // line for line; the flat differential tests in internal/sim assert

@@ -6,10 +6,10 @@
 // (E7), Proposition 19 (E8), and exhaustive small-ring schedule checking
 // (E9). Later experiments probe beyond the paper's model: stabilization
 // timelines (E10), knowledge ablation (E11), transport width (E12),
-// redundancy composition (E13), seeded fault injection (E14), and the
-// sharded simulator's scale and schedule-equivalence (E15), batch-engine
-// pulse-run coalescing (E16), and exhaustive fault-aware verification of
-// every injection position under every schedule (E17).
+// redundancy composition (E13), seeded fault injection (E14),
+// million-node scale (E15), batch-engine pulse-run coalescing (E16), and
+// exhaustive fault-aware verification of every injection position under
+// every schedule (E17).
 // cmd/experiments renders them; EXPERIMENTS.md records the outputs
 // against the paper's statements.
 package experiments
@@ -60,7 +60,7 @@ func All() []Experiment {
 		{"E12", "Transport ablation: chunk width vs pulse cost in the universal simulation layer", E12},
 		{"E13", "Section 1.1 r-redundancy composition: correctness preserved at exactly (r+1)-fold cost", E13},
 		{"E14", "Fault plane: stabilizing algorithms heal early output corruption exactly; the terminating algorithm breaks under conservation-violating faults", E14},
-		{"E15", "Sharded engine: geometric-ID elections cost Theta(n log n) pulses to million-node rings, with arc parallelism provably schedule-equivalent", E15},
+		{"E15", "Scale: geometric-ID elections cost exactly n·ID_max = Theta(n log n) pulses to million-node rings", E15},
 		{"E16", "Batch engine: pulse-run coalescing conserves Theorem 1's pulse count exactly while transitions fall by the schedule-dependent coalescing factor", E16},
 		{"E17", "Fault-aware model checking: pulse-conserving fault classes (loss, crash, corrupt) yield finite state spaces verified exhaustively; pulse-adding classes (dup, spurious, restart) provably diverge and are certified up to a state bound", E17},
 	}

@@ -4,62 +4,38 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 
 	"coleader/internal/core"
-	"coleader/internal/node"
 	"coleader/internal/ring"
 	"coleader/internal/sim"
 	"coleader/internal/stats"
 	"coleader/internal/xrand"
 )
 
-// E15 measures the sharded simulator at scale and certifies that arc
-// parallelism changes nothing observable.
+// E15 measures Algorithm 1 at scale on the simulator's production
+// configuration: a flat struct-of-arrays bank, the pulse-run batch fast
+// path, and the Heaviest scheduler.
 //
-// E15a is the cost sweep: Algorithm 1 over geometric ID values (ID_max
-// concentrates around (c+2)·log2 n, duplicates tolerated per Lemma 16)
-// costs exactly n·ID_max pulses — Corollary 13 verbatim — which makes
-// the sampled-ID election Theta(n log n) and million-node rings
-// feasible. The fit column divides measured pulses by n·log2 n; a flat
-// constant across three orders of magnitude is the claimed growth rate.
-// (The in-test sweep stops at n=65536 to stay fast; EXPERIMENTS.md
-// records the n=10^6 and 10^7 cmd/ringsim runs of the same workload.)
-//
-// E15b is the equivalence panel: the same election executed by the
-// plain sequential engine, the sharded engine at several shard counts,
-// and the flat struct-of-arrays bank must agree on every outcome field
-// and on the exact pulse count. Together with the event-level
-// differential suite (sharded == ShardReferenceRun, byte for byte) this
-// pins the claim that sharding is a pure performance transformation.
+// The sweep runs Algorithm 1 over geometric ID values (ID_max
+// concentrates around (c+2)·log2 n, duplicates tolerated per Lemma 16).
+// Corollary 13 says the run costs exactly n·ID_max pulses under every
+// schedule, which makes the sampled-ID election Theta(n log n) and
+// million-node rings feasible. The fit column divides measured pulses
+// by n·log2 n; a flat constant across three orders of magnitude is the
+// claimed growth rate. The transitions and coalescing columns show what
+// batching saves: the engine's cost, not the pulse count. (The in-test
+// sweep stops at n=65536 to stay fast; EXPERIMENTS.md records the n=10^6
+// cmd/ringsim run of the same workload.)
 func E15(seed int64) ([]*stats.Table, error) {
-	sweep, err := e15Sweep(seed)
-	if err != nil {
-		return nil, err
-	}
-	equiv, err := e15Equivalence(seed)
-	if err != nil {
-		return nil, err
-	}
-	return []*stats.Table{sweep, equiv}, nil
-}
-
-// e15GeometricIDs draws geometric ID values: Pr[ID >= k+1] = 2^{-k/(c+2)}.
-func e15GeometricIDs(rng *rand.Rand, n int, c float64) []uint64 {
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = 1 + uint64(core.SampleBitCount(rng, c))
-	}
-	return ids
-}
-
-func e15Sweep(seed int64) (*stats.Table, error) {
 	t := stats.NewTable(
-		"E15a — sharded scale sweep: Algorithm 1 over geometric IDs costs exactly n·ID_max = Theta(n log n) pulses",
-		"n", "shards", "ID_max", "pulses", "n·ID_max exact", "pulses/(n·log2 n)", "epochs", "quiescent")
+		"E15a — scale sweep: Algorithm 1 over geometric IDs costs exactly n·ID_max = Theta(n log n) pulses",
+		"n", "ID_max", "pulses", "n·ID_max exact", "pulses/(n·log2 n)", "transitions", "coalescing", "quiescent")
 	for _, n := range []int{1024, 8192, 65536} {
 		rng := rand.New(rand.NewSource(xrand.Split(seed, 0xE15A, uint64(n))))
-		ids := e15GeometricIDs(rng, n, 2)
+		ids := make([]uint64, n)
+		for i := range ids {
+			ids[i] = 1 + uint64(core.SampleBitCount(rng, 2))
+		}
 		idMax := ring.MaxID(ids)
 		pred := core.PredictedAlg1Pulses(n, idMax)
 		topo, err := ring.Oriented(n)
@@ -70,7 +46,7 @@ func e15Sweep(seed int64) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := sim.NewShardedFlat(topo, bank, 8, sim.StockSharded(seed)["canonical"])
+		s, err := sim.NewFlat(topo, bank, sim.Heaviest{}, sim.WithBatching())
 		if err != nil {
 			return nil, err
 		}
@@ -78,131 +54,15 @@ func e15Sweep(seed int64) (*stats.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E15a n=%d: %w", n, err)
 		}
-		_, _, epochs := s.Progress()
+		transitions, _ := s.RunsCoalesced()
 		exact := "yes"
 		if res.Sent != pred {
 			exact = "NO"
 		}
 		fit := float64(res.Sent) / (float64(n) * math.Log2(float64(n)))
-		t.AddRow(n, s.Shards(), idMax, res.Sent, exact, stats.FormatFloat(fit), epochs, res.Quiescent)
+		factor := float64(res.Delivered) / float64(transitions)
+		t.AddRow(n, idMax, res.Sent, exact, stats.FormatFloat(fit), transitions,
+			stats.FormatFloat(factor)+"x", res.Quiescent)
 	}
-	return t, nil
-}
-
-// e15Outcome is the schedule-invariant slice of a Result: the election
-// outcome and the exact pulse totals, excluding order-dependent fields
-// (TerminationOrder) that legitimately vary across schedules.
-type e15Outcome struct {
-	leader   int
-	leaders  []int
-	statuses []node.Status
-	sent     uint64
-	quiesc   bool
-}
-
-func e15Slice(r sim.Result) e15Outcome {
-	return e15Outcome{
-		leader:   r.Leader,
-		leaders:  r.Leaders,
-		statuses: r.Statuses,
-		sent:     r.Sent,
-		quiesc:   r.Quiescent,
-	}
-}
-
-func e15Equivalence(seed int64) (*stats.Table, error) {
-	t := stats.NewTable(
-		"E15b — engine equivalence: sequential, sharded, and flat-bank runs agree on outcome and exact pulse count",
-		"algorithm", "n", "engine", "shards", "pulses", "leader", "matches sequential")
-	type workload struct {
-		algo string
-		n    int
-		ids  func(rng *rand.Rand, n int) []uint64
-		pred func(n int, idMax uint64) uint64
-	}
-	workloads := []workload{
-		{"alg1/geometric", 4096,
-			func(rng *rand.Rand, n int) []uint64 { return e15GeometricIDs(rng, n, 2) },
-			core.PredictedAlg1Pulses},
-		{"alg2/distinct", 512,
-			func(rng *rand.Rand, n int) []uint64 { return ring.PermutedIDs(n, rng) },
-			core.PredictedAlg2Pulses},
-	}
-	for _, w := range workloads {
-		rng := rand.New(rand.NewSource(xrand.Split(seed, 0xE15B, uint64(w.n))))
-		ids := w.ids(rng, w.n)
-		idMax := ring.MaxID(ids)
-		pred := w.pred(w.n, idMax)
-		budget := 4*pred + 1024
-		topo, err := ring.Oriented(w.n)
-		if err != nil {
-			return nil, err
-		}
-		mkMachines := func() ([]node.PulseMachine, error) {
-			if w.algo == "alg2/distinct" {
-				return core.Alg2Machines(topo, ids)
-			}
-			return core.Alg1Machines(topo, ids)
-		}
-		mkBank := func() (node.FlatPulseMachine, error) {
-			if w.algo == "alg2/distinct" {
-				return core.NewFlatAlg2(topo, ids)
-			}
-			return core.NewFlatAlg1(topo, ids)
-		}
-
-		ms, err := mkMachines()
-		if err != nil {
-			return nil, err
-		}
-		plain, err := sim.New(topo, ms, sim.Canonical{})
-		if err != nil {
-			return nil, err
-		}
-		plainRes, err := plain.Run(budget)
-		if err != nil {
-			return nil, fmt.Errorf("E15b %s sequential: %w", w.algo, err)
-		}
-		want := e15Slice(plainRes)
-		t.AddRow(w.algo, w.n, "sequential", 1, plainRes.Sent, plainRes.Leader, "yes")
-
-		for _, shards := range []int{1, 2, 8} {
-			ms, err := mkMachines()
-			if err != nil {
-				return nil, err
-			}
-			s, err := sim.NewSharded(topo, ms, shards, sim.StockSharded(seed)["canonical"])
-			if err != nil {
-				return nil, err
-			}
-			res, err := s.Run(budget)
-			if err != nil {
-				return nil, fmt.Errorf("E15b %s shards=%d: %w", w.algo, shards, err)
-			}
-			match := "yes"
-			if !reflect.DeepEqual(e15Slice(res), want) {
-				match = "NO"
-			}
-			t.AddRow(w.algo, w.n, "sharded", shards, res.Sent, res.Leader, match)
-		}
-
-		bank, err := mkBank()
-		if err != nil {
-			return nil, err
-		}
-		s, err := sim.NewShardedFlat(topo, bank, 8, sim.StockSharded(seed)["canonical"])
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.Run(budget)
-		if err != nil {
-			return nil, fmt.Errorf("E15b %s flat: %w", w.algo, err)
-		}
-		match := "yes"
-		if !reflect.DeepEqual(e15Slice(res), want) {
-			match = "NO"
-		}
-		t.AddRow(w.algo, w.n, "sharded/flat", 8, res.Sent, res.Leader, match)
-	}
-	return t, nil
+	return []*stats.Table{t}, nil
 }

@@ -93,11 +93,10 @@ func DefaultConfig() Config {
 		LayerExempt: []string{m + "/cmd", m + "/examples"},
 
 		// Packages with real shared-memory concurrency: the live runtime,
-		// the parallel exhaustive explorer, the sharded simulator (arc
-		// workers plus epoch-granular progress counters), and the fault
-		// plane (the ring-wide delivery ordinal behind window triggers is
-		// read and advanced from sender/pump/node goroutines in live).
-		AtomicPkgs: []string{i("live"), i("check"), i("sim"), i("fault")},
+		// the parallel exhaustive explorer, and the fault plane (the
+		// ring-wide delivery ordinal behind window triggers is read and
+		// advanced from sender/pump/node goroutines in live).
+		AtomicPkgs: []string{i("live"), i("check"), i("fault")},
 
 		// Machines whose Init/OnMsg handlers run inline on the event loops
 		// of internal/sim and internal/live: the algorithms, the universal

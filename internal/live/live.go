@@ -82,15 +82,14 @@ type Result struct {
 	// Heals lists, in supervision order, the node index of every crash
 	// the supervisor healed; a node that crashed twice appears twice.
 	Heals []int
-	// Notes is the structured run log: deprecated options, unhealable
-	// crashes, and similar diagnoses that are not errors.
+	// Notes is the structured run log: unhealable crashes and similar
+	// diagnoses that are not errors.
 	Notes []RunNote
 }
 
 // RunNote is one structured run-log entry.
 type RunNote struct {
-	// Code is a stable machine-matchable tag ("deprecated-option",
-	// "unhealable-crash").
+	// Code is a stable machine-matchable tag ("unhealable-crash").
 	Code string
 	// Detail is the human-readable elaboration.
 	Detail string
@@ -211,7 +210,6 @@ type config struct {
 	plane     *fault.Plane
 	supervise bool
 	policy    RestorePolicy
-	notes     []RunNote
 }
 
 // Option configures Run.
@@ -219,23 +217,6 @@ type Option func(*config)
 
 // WithTimeout bounds the whole run (default 10s).
 func WithTimeout(d time.Duration) Option { return func(c *config) { c.timeout = d } }
-
-// WithPollInterval has no effect: quiescence detection is event-driven
-// (the goroutine whose decrement takes the conservation counter to zero
-// with all nodes initialized signals the watchdog), so there is no poll
-// period left to tune. Calls are recorded as a "deprecated-option" note
-// in Result.Notes so lingering call sites surface in run logs instead of
-// silently vanishing.
-//
-// Deprecated: remove calls; the option has no effect.
-func WithPollInterval(d time.Duration) Option {
-	return func(c *config) {
-		c.notes = append(c.notes, RunNote{
-			Code:   "deprecated-option",
-			Detail: fmt.Sprintf("WithPollInterval(%v) ignored: quiescence detection is event-driven", d),
-		})
-	}
-}
 
 // RestorePolicy selects what state a supervised node is revived with.
 type RestorePolicy uint8
@@ -306,7 +287,6 @@ func Run(topo ring.Topology, machines []node.PulseMachine, opts ...Option) (Resu
 		supervise: cfg.supervise && cfg.plane != nil,
 		policy:    cfg.policy,
 		crashCh:   make(chan int),
-		notes:     cfg.notes,
 	}
 	r.initsLeft.Store(int64(n))
 	if r.plane != nil {

@@ -258,36 +258,6 @@ func TestLiveChaosTimeout(t *testing.T) {
 	}
 }
 
-// TestLivePollInterval: the deprecated option never changes the outcome,
-// and each call is surfaced as a structured "deprecated-option" note in
-// the run log so lingering call sites are visible.
-func TestLivePollInterval(t *testing.T) {
-	ids := []uint64{3, 1, 4}
-	topo, err := ring.Oriented(len(ids))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := core.Alg2Machines(topo, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := live.Run(topo, ms, live.WithPollInterval(10*time.Microsecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLeader, _ := ring.MaxIndex(ids)
-	if res.Leader != wantLeader {
-		t.Errorf("leader %d, want %d", res.Leader, wantLeader)
-	}
-	if want := core.PredictedAlg2Pulses(len(ids), 4); res.Sent != want {
-		t.Errorf("sent %d, want %d", res.Sent, want)
-	}
-	if len(res.Notes) != 1 || res.Notes[0].Code != "deprecated-option" ||
-		!strings.Contains(res.Notes[0].Detail, "WithPollInterval(10µs)") {
-		t.Errorf("notes %v, want one deprecated-option note naming WithPollInterval(10µs)", res.Notes)
-	}
-}
-
 // TestLiveChaosZeroSeed: WithChaos(0) must still inject jitter (the seed
 // is forced odd), not silently disable it.
 func TestLiveChaosZeroSeed(t *testing.T) {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"coleader/internal/node"
 	"coleader/internal/pulse"
 )
 
@@ -55,6 +56,28 @@ func (s *Sim[M]) setupBatch() error {
 	}
 	s.bms, s.fbm = bms, fbm
 	return nil
+}
+
+// resolveBatch resolves the batch-capable view of a machine bank:
+// either every pointer machine implements node.BatchMachine or the flat
+// bank implements node.FlatBatchMachine.
+func resolveBatch[M any](machines []node.Machine[M], flat node.FlatMachine[M]) ([]node.BatchMachine, node.FlatBatchMachine, error) {
+	if flat != nil {
+		fbm, ok := any(flat).(node.FlatBatchMachine)
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: bank %T does not implement node.FlatBatchMachine", ErrBatchUnsupported, flat)
+		}
+		return nil, fbm, nil
+	}
+	bms := make([]node.BatchMachine, len(machines))
+	for k, m := range machines {
+		bm, ok := any(m).(node.BatchMachine)
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: machine %d (%T) does not implement node.BatchMachine", ErrBatchUnsupported, k, m)
+		}
+		bms[k] = bm
+	}
+	return bms, nil, nil
 }
 
 // pendingRun is one buffered counted emission of a batch transition.
@@ -114,7 +137,7 @@ func checkRunUniformity(buf []pendingRun, consumed uint64) error {
 func (s *Sim[M]) enqueueRun(c int, n uint64, dir pulse.Direction) {
 	var zero M
 	wasEmpty := s.queues[c].n == 0
-	s.queues[c].pushRun(entry[M]{seq: s.seq + 1, cnt: n, msg: zero}, 0)
+	s.queues[c].pushRun(entry[M]{seq: s.seq + 1, cnt: n, msg: zero})
 	s.seq += n
 	s.sent += n
 	if dir == pulse.CW {

@@ -14,94 +14,11 @@ import (
 	"coleader/internal/sim"
 )
 
-// runBatched executes a batched sequential simulation of inst (pointer
-// or flat bank) under the named stock scheduler and returns its event
-// stream, Result, and error.
-func runBatched(t *testing.T, inst shardInstance, schedName string, seed int64, flat bool,
-) ([]sim.Event, sim.Result, error) {
-	t.Helper()
-	topo, err := inst.topo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []sim.Event
-	obs := sim.WithObserver[pulse.Pulse](sim.ObserverFunc[pulse.Pulse](
-		func(e *sim.Event, _ *sim.Sim[pulse.Pulse]) error {
-			cp := *e
-			cp.Sends = append([]sim.SendRec(nil), e.Sends...)
-			events = append(events, cp)
-			return nil
-		}))
-	sched := sim.Stock(seed)[schedName]
-	var s *sim.Sim[pulse.Pulse]
-	if flat {
-		bank, err := inst.bank()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err = sim.NewFlat(topo, bank, sched, obs, sim.WithBatching())
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		ms, err := inst.machines()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err = sim.New(topo, ms, sched, obs, sim.WithBatching())
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, runErr := s.Run(inst.budget)
-	return events, res, runErr
-}
-
-// runShardBatched executes a batched sharded simulation of inst.
-func runShardBatched(t *testing.T, inst shardInstance, mk sim.MkScheduler, shards int, flat bool,
-) ([]sim.Event, sim.Result, error) {
-	t.Helper()
-	topo, err := inst.topo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []sim.Event
-	obs := sim.WithShardObserver[pulse.Pulse](sim.ShardObserverFunc[pulse.Pulse](
-		func(e *sim.Event, _ *sim.Sharded[pulse.Pulse]) error {
-			cp := *e
-			cp.Sends = append([]sim.SendRec(nil), e.Sends...)
-			events = append(events, cp)
-			return nil
-		}))
-	var s *sim.Sharded[pulse.Pulse]
-	if flat {
-		bank, err := inst.bank()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err = sim.NewShardedFlat(topo, bank, shards, mk, obs, sim.WithShardBatching())
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		ms, err := inst.machines()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err = sim.NewSharded(topo, ms, shards, mk, obs, sim.WithShardBatching())
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, runErr := s.Run(inst.budget)
-	return events, res, runErr
-}
-
 // replayExpanded replays a batched schedule on a fresh plain sequential
 // simulation of inst via BatchReferenceRun and returns the expanded
 // (pulse-by-pulse) event stream its observer records, plus the replay's
 // Result.
-func replayExpanded(t *testing.T, inst shardInstance, schedule []sim.Event,
+func replayExpanded(t *testing.T, inst algInstance, schedule []sim.Event,
 ) ([]sim.Event, sim.Result, error) {
 	t.Helper()
 	topo, err := inst.topo()
@@ -115,14 +32,7 @@ func replayExpanded(t *testing.T, inst shardInstance, schedule []sim.Event,
 	var events []sim.Event
 	// The driving scheduler is irrelevant: BatchReferenceRun replays the
 	// recorded schedule itself.
-	s, err := sim.New(topo, ms, sim.Canonical{},
-		sim.WithObserver[pulse.Pulse](sim.ObserverFunc[pulse.Pulse](
-			func(e *sim.Event, _ *sim.Sim[pulse.Pulse]) error {
-				cp := *e
-				cp.Sends = append([]sim.SendRec(nil), e.Sends...)
-				events = append(events, cp)
-				return nil
-			})))
+	s, err := sim.New(topo, ms, sim.Canonical{}, recordEvents(&events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +45,7 @@ func replayExpanded(t *testing.T, inst shardInstance, schedule []sim.Event,
 // sequential engine records while replaying the same schedule pulse by
 // pulse, and the Results must be DeepEqual (batched step/sent/delivered
 // totals count pulses, so they are engine-invariant).
-func checkBatchedAgainstReference(t *testing.T, inst shardInstance,
+func checkBatchedAgainstReference(t *testing.T, inst algInstance,
 	batchedEv []sim.Event, batchedRes sim.Result, batchedErr error,
 ) {
 	t.Helper()
@@ -170,7 +80,7 @@ func checkBatchedAgainstReference(t *testing.T, inst shardInstance,
 // event-for-event identical to a plain pulse-by-pulse engine delivering
 // the same runs one pulse at a time, with DeepEqual Results.
 func TestBatchedMatchesExpandedReference(t *testing.T) {
-	for _, inst := range shardInstances() {
+	for _, inst := range algInstances() {
 		for schedName := range sim.Stock(1) {
 			for _, seed := range []int64{1, 5} {
 				for _, flat := range []bool{false, true} {
@@ -180,41 +90,9 @@ func TestBatchedMatchesExpandedReference(t *testing.T) {
 					}
 					name := fmt.Sprintf("%s/%s/seed=%d/%s", inst.name, schedName, seed, mode)
 					t.Run(name, func(t *testing.T) {
-						ev, res, err := runBatched(t, inst, schedName, seed, flat)
+						ev, res, err := runInstance(t, inst, schedName, seed, flat, sim.WithBatching())
 						checkBatchedAgainstReference(t, inst, ev, res, err)
 					})
-				}
-			}
-		}
-	}
-}
-
-// TestShardBatchedMatchesExpandedReference composes the two engines: the
-// sharded engine with the batch fast path enabled must also expand to an
-// admissible pulse-by-pulse execution of the plain sequential engine,
-// for every stock scheduler family x seed x shard count x algorithm x
-// machine representation.
-func TestShardBatchedMatchesExpandedReference(t *testing.T) {
-	var schedNames []string
-	for name := range sim.StockSharded(1) {
-		schedNames = append(schedNames, name)
-	}
-	for _, inst := range shardInstances() {
-		for _, schedName := range schedNames {
-			for _, seed := range []int64{1, 7} {
-				for _, shards := range []int{2, 7} {
-					for _, flat := range []bool{false, true} {
-						mode := "pointer"
-						if flat {
-							mode = "flat"
-						}
-						name := fmt.Sprintf("%s/%s/seed=%d/shards=%d/%s", inst.name, schedName, seed, shards, mode)
-						t.Run(name, func(t *testing.T) {
-							mk := sim.StockSharded(seed)[schedName]
-							ev, res, err := runShardBatched(t, inst, mk, shards, flat)
-							checkBatchedAgainstReference(t, inst, ev, res, err)
-						})
-					}
 				}
 			}
 		}
@@ -228,7 +106,7 @@ func TestShardBatchedMatchesExpandedReference(t *testing.T) {
 // scheduler, but content-oblivious executions are confluent, so the
 // election outcome and every pulse total must agree exactly.
 func TestBatchedConservesPulseTotals(t *testing.T) {
-	for _, inst := range shardInstances() {
+	for _, inst := range algInstances() {
 		t.Run(inst.name, func(t *testing.T) {
 			topo, err := inst.topo()
 			if err != nil {
@@ -355,8 +233,8 @@ func (b flatPlainOnly) Ready(int, pulse.Port) bool                            { 
 func (b flatPlainOnly) Status(int) node.Status                                { return node.Status{} }
 
 // TestBatchUnsupported pins the construction-time rejections: machines
-// without the batch interfaces (pointer and flat, sequential and
-// sharded) and the fault plane all fail with ErrBatchUnsupported.
+// without the batch interfaces (pointer and flat) and the fault plane
+// all fail with ErrBatchUnsupported.
 func TestBatchUnsupported(t *testing.T) {
 	topo, err := ring.Oriented(4)
 	if err != nil {
@@ -368,13 +246,6 @@ func TestBatchUnsupported(t *testing.T) {
 	}
 	if _, err := sim.NewFlat(topo, flatPlainOnly{n: 4}, sim.Canonical{}, sim.WithBatching()); !errors.Is(err, sim.ErrBatchUnsupported) {
 		t.Fatalf("non-FlatBatchMachine bank: got %v, want ErrBatchUnsupported", err)
-	}
-	mk := sim.StockSharded(1)["canonical"]
-	if _, err := sim.NewSharded(topo, plainMachines, 2, mk, sim.WithShardBatching()); !errors.Is(err, sim.ErrBatchUnsupported) {
-		t.Fatalf("sharded non-BatchMachine bank: got %v, want ErrBatchUnsupported", err)
-	}
-	if _, err := sim.NewShardedFlat(topo, flatPlainOnly{n: 4}, 2, mk, sim.WithShardBatching()); !errors.Is(err, sim.ErrBatchUnsupported) {
-		t.Fatalf("sharded non-FlatBatchMachine bank: got %v, want ErrBatchUnsupported", err)
 	}
 
 	ms, err := core.Alg1Machines(topo, ring.ConsecutiveIDs(4))

@@ -21,9 +21,7 @@ import (
 // The batched differential tests run both and assert the expansion
 // equals, event for event, what the replay's observer records — which
 // is exactly the claim that every batch transition is equivalent to
-// delivering its run pulse by pulse on the sequential engine. Both
-// engines (sequential batched and sharded batched) are checked against
-// the same oracle.
+// delivering its run pulse by pulse on the plain engine.
 
 // BatchReferenceRun replays a batched run's event schedule on s, which
 // must be a freshly constructed plain (non-batched) simulation of the

@@ -2,133 +2,54 @@ package sim_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
-	"coleader/internal/core"
-	"coleader/internal/node"
 	"coleader/internal/pulse"
-	"coleader/internal/ring"
 	"coleader/internal/sim"
 )
 
 // TestOptimizedMatchesRescanReference is the scheduler-trace differential
 // test for the incremental deliverable set: every stock scheduler, across
-// seeds and all three algorithms, must produce an event-for-event
+// seeds and every algorithm instance, must produce an event-for-event
 // identical trace (and identical Result) on the optimized simulator and
 // on the retained naive-rescan reference (WithRescanDeliverable). The
 // reference recomputes the deliverable set by full scan each step and
-// disables the oldest-message heap, so agreement here is evidence the
-// incremental set and heap change no scheduling decision, only cost.
+// disables the scheduler aux heaps, so agreement here is evidence the
+// incremental set and heaps change no scheduling decision, only cost.
+//
+// The differential runs in every engine mode: pointer machines or a flat
+// bank, pulse by pulse or with the batch fast path. The pointer,
+// pulse-by-pulse mode keeps the bare subtest name.
 func TestOptimizedMatchesRescanReference(t *testing.T) {
-	type instance struct {
-		name     string
-		machines func() ([]node.PulseMachine, error)
-		topo     func() (ring.Topology, error)
-		budget   uint64
+	modes := []struct {
+		name        string
+		flat, batch bool
+	}{
+		{"", false, false},
+		{"flat", true, false},
+		{"batched", false, true},
+		{"flat-batched", true, true},
 	}
-	instances := []instance{
-		{
-			name: "alg1/dup-ids",
-			topo: func() (ring.Topology, error) { return ring.Oriented(4) },
-			machines: func() ([]node.PulseMachine, error) {
-				topo, err := ring.Oriented(4)
-				if err != nil {
-					return nil, err
-				}
-				return core.Alg1Machines(topo, []uint64{2, 2, 1, 2})
-			},
-			budget: 4*core.PredictedAlg1Pulses(4, 2) + 1024,
-		},
-		{
-			name: "alg2/oriented",
-			topo: func() (ring.Topology, error) { return ring.Oriented(5) },
-			machines: func() ([]node.PulseMachine, error) {
-				topo, err := ring.Oriented(5)
-				if err != nil {
-					return nil, err
-				}
-				return core.Alg2Machines(topo, []uint64{3, 1, 4, 2, 5})
-			},
-			budget: 4*core.PredictedAlg2Pulses(5, 5) + 1024,
-		},
-		{
-			name: "alg3/non-oriented",
-			topo: func() (ring.Topology, error) { return ring.NonOriented([]bool{true, false, true}) },
-			machines: func() ([]node.PulseMachine, error) {
-				return core.Alg3Machines(3, []uint64{2, 1, 3}, core.SchemeSuccessor)
-			},
-			budget: 4*core.PredictedAlg3Pulses(3, 3, core.SchemeSuccessor) + 1024,
-		},
-	}
-
-	// Scheduler names come from the stock map; instances must be built
-	// fresh per run because several schedulers are stateful.
-	var schedNames []string
-	for name := range sim.Stock(1) {
-		schedNames = append(schedNames, name)
-	}
-
-	for _, inst := range instances {
-		for _, schedName := range schedNames {
+	for _, inst := range algInstances() {
+		for schedName := range sim.Stock(1) {
 			for _, seed := range []int64{1, 2, 7} {
-				name := fmt.Sprintf("%s/%s/seed=%d", inst.name, schedName, seed)
-				t.Run(name, func(t *testing.T) {
-					fast, fastRes, fastErr := runTraced(t, inst.topo, inst.machines, schedName, seed, inst.budget, false)
-					ref, refRes, refErr := runTraced(t, inst.topo, inst.machines, schedName, seed, inst.budget, true)
-					if (fastErr == nil) != (refErr == nil) ||
-						(fastErr != nil && fastErr.Error() != refErr.Error()) {
-						t.Fatalf("run errors diverge: optimized %v, reference %v", fastErr, refErr)
+				for _, mode := range modes {
+					name := fmt.Sprintf("%s/%s/seed=%d", inst.name, schedName, seed)
+					if mode.name != "" {
+						name += "/" + mode.name
 					}
-					if len(fast) != len(ref) {
-						t.Fatalf("trace lengths diverge: optimized %d events, reference %d", len(fast), len(ref))
-					}
-					for i := range fast {
-						if !reflect.DeepEqual(fast[i], ref[i]) {
-							t.Fatalf("event %d diverges:\noptimized %+v\nreference %+v", i, fast[i], ref[i])
+					t.Run(name, func(t *testing.T) {
+						var opts []sim.Option[pulse.Pulse]
+						if mode.batch {
+							opts = append(opts, sim.WithBatching())
 						}
-					}
-					if !reflect.DeepEqual(fastRes, refRes) {
-						t.Fatalf("results diverge:\noptimized %+v\nreference %+v", fastRes, refRes)
-					}
-				})
+						fastEv, fastRes, fastErr := runInstance(t, inst, schedName, seed, mode.flat, opts...)
+						opts = append(opts, sim.WithRescanDeliverable[pulse.Pulse]())
+						refEv, refRes, refErr := runInstance(t, inst, schedName, seed, mode.flat, opts...)
+						compareRuns(t, "optimized", refEv, refRes, refErr, fastEv, fastRes, fastErr)
+					})
+				}
 			}
 		}
 	}
-}
-
-// runTraced runs one fresh simulation and returns its full event trace.
-func runTraced(t *testing.T,
-	mkTopo func() (ring.Topology, error),
-	mkMachines func() ([]node.PulseMachine, error),
-	schedName string, seed int64, budget uint64, rescan bool,
-) ([]sim.Event, sim.Result, error) {
-	t.Helper()
-	topo, err := mkTopo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := mkMachines()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []sim.Event
-	opts := []sim.Option[pulse.Pulse]{
-		sim.WithObserver[pulse.Pulse](sim.ObserverFunc[pulse.Pulse](
-			func(e *sim.Event, _ *sim.Sim[pulse.Pulse]) error {
-				cp := *e
-				cp.Sends = append([]sim.SendRec(nil), e.Sends...)
-				events = append(events, cp)
-				return nil
-			})),
-	}
-	if rescan {
-		opts = append(opts, sim.WithRescanDeliverable[pulse.Pulse]())
-	}
-	s, err := sim.New(topo, ms, sim.Stock(seed)[schedName], opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, runErr := s.Run(budget)
-	return events, res, runErr
 }

@@ -222,14 +222,7 @@ func (Newest) HeapHints() []HeapHint { return []HeapHint{{Kind: HeapNewest}} }
 // batching near 3x on Algorithm 2, while Heaviest turns whole backlogs
 // into single O(1) transitions. Pulse totals are schedule-invariant, so
 // it probes the same Theta(n·ID_max) volume as every other stock
-// scheduler.
-//
-// On the sequential engine the HeapHeaviest hint makes the pick
-// O(log n). The sharded engine's arc views expose no count-keyed heap,
-// so there Heaviest falls back to an O(deliverable) scan per delivery —
-// correct but slow at scale, and the epoch barriers chop runs into
-// lockstep singles anyway. Large sharded runs want canonical; heaviest
-// is the sequential batch engine's scheduler.
+// scheduler. The HeapHeaviest hint makes the pick O(log n).
 type Heaviest struct{}
 
 // Next implements Scheduler.
@@ -347,8 +340,8 @@ func (d DirBiased) HeapHints() []HeapHint {
 
 // Laggy alternates bursts of canonical delivery with bursts of random
 // delivery, switching with probability 1/8 per step: a schedule with long
-// quiet stretches punctuated by reordering storms. Despite the old name
-// (Flaky), it never drops or corrupts anything — a scheduler only reorders
+// quiet stretches punctuated by reordering storms. Despite its stock name
+// ("flaky"), it never drops or corrupts anything — a scheduler only reorders
 // delivery; actual pulse loss, duplication, and injection live in
 // internal/fault and attach via WithFaultPlane.
 type Laggy struct {
@@ -364,18 +357,6 @@ func NewLaggy(seed int64) *Laggy {
 		inner: NewRandom(seed + 1),
 	}
 }
-
-// Flaky is the old name of Laggy.
-//
-// Deprecated: use Laggy. The scheduler only lags (reorders) deliveries;
-// for genuinely flaky channels — loss, duplication, spurious pulses — use
-// a fault.Plane via WithFaultPlane.
-type Flaky = Laggy
-
-// NewFlaky returns a Laggy scheduler seeded with seed.
-//
-// Deprecated: use NewLaggy.
-func NewFlaky(seed int64) *Laggy { return NewLaggy(seed) }
 
 // Next implements Scheduler.
 func (f *Laggy) Next(v View) int {

@@ -195,7 +195,7 @@ type Sim[M any] struct {
 	// Batch fast path (WithBatching; pulse machines only). Exactly one
 	// of bms and fbm is non-nil when batch is set; runEm is the reusable
 	// counted-run emitter handed to OnPulses; runs/coalesced feed the
-	// RunsCoalesced accessor and the progress reporter.
+	// RunsCoalesced accessor.
 	batch     bool
 	bms       []node.BatchMachine
 	fbm       node.FlatBatchMachine
@@ -253,15 +253,11 @@ func (q *fifo[M]) push(e entry[M]) {
 // pushRun appends a counted pulse run, coalescing it into the tail
 // entry when the sequence ranges are contiguous. Only the batched fast
 // path calls this (messages are contentless pulses, so merging entries
-// never conflates payloads). Runs whose tail lies at or below
-// mergeFloor are never merged into: the sharded engine passes its epoch
-// boundary so a frozen (final-numbered) tail cannot absorb pulses that
-// still carry provisional sequence numbers and must be renumbered at
-// the barrier.
-func (q *fifo[M]) pushRun(e entry[M], mergeFloor uint64) {
+// never conflates payloads).
+func (q *fifo[M]) pushRun(e entry[M]) {
 	if q.n > 0 {
 		tail := &q.buf[(q.head+q.n-1)&(len(q.buf)-1)]
-		if tail.seq > mergeFloor && tail.seq+tail.cnt == e.seq {
+		if tail.seq+tail.cnt == e.seq {
 			tail.cnt += e.cnt
 			q.tot += e.cnt
 			return
@@ -300,47 +296,6 @@ func (q *fifo[M]) popPulses(m uint64) {
 }
 
 func (q *fifo[M]) front() *entry[M] { return &q.buf[q.head] }
-
-// at returns the i-th queued entry (0 = front). i must be < n.
-func (q *fifo[M]) at(i int) *entry[M] { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
-
-// frozenLen returns how many of q's entries carry a sequence number at
-// or below boundary. Entries are queued in strictly ascending sequence
-// order (FIFO channels, single sender, monotone numbering), so the
-// frozen messages form a prefix and a binary search finds its length.
-// The sharded engine and its sequential reference driver both use this
-// as the scheduler-visible queue length during an epoch.
-func frozenLen[M any](q *fifo[M], boundary uint64) int {
-	lo, hi := 0, q.n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if q.at(mid).seq <= boundary {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// frozenPulses returns how many pulses (Σ cnt over the frozen entry
-// prefix) carry a sequence number at or below boundary. Entries are
-// whole runs: at a barrier every queued entry lies entirely at or below
-// the new boundary, and entries queued mid-epoch lie entirely above it
-// (pushRun's mergeFloor keeps the two from coalescing), so a run never
-// straddles the boundary. This is the batched sharded engine's
-// scheduler-visible queue length and its per-transition run budget.
-func frozenPulses[M any](q *fifo[M], boundary uint64) uint64 {
-	fl := frozenLen(q, boundary)
-	if fl == q.n {
-		return q.tot
-	}
-	var tot uint64
-	for i := 0; i < fl; i++ {
-		tot += q.at(i).cnt
-	}
-	return tot
-}
 
 // heapEntry is one candidate in the oldest-deliverable min-heap.
 type heapEntry struct {

@@ -3,8 +3,10 @@ package sim_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"coleader/internal/core"
 	"coleader/internal/node"
 	"coleader/internal/pulse"
 	"coleader/internal/ring"
@@ -385,5 +387,212 @@ func TestChannelHelpers(t *testing.T) {
 	}
 	if sim.ChanNode(4) != 2 || sim.ChanPort(4) != pulse.Port0 {
 		t.Error("channel id helpers broken")
+	}
+}
+
+// algInstance is one algorithm/topology configuration exercised by the
+// engine differentials, in both machine representations: a
+// pointer-machine slice (sim.New) and a struct-of-arrays bank
+// (sim.NewFlat).
+type algInstance struct {
+	name     string
+	topo     func() (ring.Topology, error)
+	machines func() ([]node.PulseMachine, error)
+	bank     func() (node.FlatPulseMachine, error)
+	budget   uint64
+}
+
+func algInstances() []algInstance {
+	return []algInstance{
+		{
+			name: "alg1/dup-ids",
+			topo: func() (ring.Topology, error) { return ring.Oriented(4) },
+			machines: func() ([]node.PulseMachine, error) {
+				topo, err := ring.Oriented(4)
+				if err != nil {
+					return nil, err
+				}
+				return core.Alg1Machines(topo, []uint64{2, 2, 1, 2})
+			},
+			bank: func() (node.FlatPulseMachine, error) {
+				topo, err := ring.Oriented(4)
+				if err != nil {
+					return nil, err
+				}
+				return core.NewFlatAlg1(topo, []uint64{2, 2, 1, 2})
+			},
+			budget: 4*core.PredictedAlg1Pulses(4, 2) + 1024,
+		},
+		{
+			name: "alg2/oriented",
+			topo: func() (ring.Topology, error) { return ring.Oriented(5) },
+			machines: func() ([]node.PulseMachine, error) {
+				topo, err := ring.Oriented(5)
+				if err != nil {
+					return nil, err
+				}
+				return core.Alg2Machines(topo, []uint64{3, 1, 4, 2, 5})
+			},
+			bank: func() (node.FlatPulseMachine, error) {
+				topo, err := ring.Oriented(5)
+				if err != nil {
+					return nil, err
+				}
+				return core.NewFlatAlg2(topo, []uint64{3, 1, 4, 2, 5})
+			},
+			budget: 4*core.PredictedAlg2Pulses(5, 5) + 1024,
+		},
+		{
+			name: "alg3/non-oriented",
+			topo: func() (ring.Topology, error) { return ring.NonOriented([]bool{true, false, true}) },
+			machines: func() ([]node.PulseMachine, error) {
+				return core.Alg3Machines(3, []uint64{2, 1, 3}, core.SchemeSuccessor)
+			},
+			bank: func() (node.FlatPulseMachine, error) {
+				return core.NewFlatAlg3(3, []uint64{2, 1, 3}, core.SchemeSuccessor)
+			},
+			budget: 4*core.PredictedAlg3Pulses(3, 3, core.SchemeSuccessor) + 1024,
+		},
+		{
+			name: "alg1/permuted",
+			topo: func() (ring.Topology, error) { return ring.Oriented(6) },
+			machines: func() ([]node.PulseMachine, error) {
+				topo, err := ring.Oriented(6)
+				if err != nil {
+					return nil, err
+				}
+				return core.Alg1Machines(topo, []uint64{4, 6, 1, 5, 3, 2})
+			},
+			bank: func() (node.FlatPulseMachine, error) {
+				topo, err := ring.Oriented(6)
+				if err != nil {
+					return nil, err
+				}
+				return core.NewFlatAlg1(topo, []uint64{4, 6, 1, 5, 3, 2})
+			},
+			budget: 4*core.PredictedAlg1Pulses(6, 6) + 1024,
+		},
+		{
+			// Consecutive IDs are the scale workload's shape: backlogs
+			// snowball into ring-sized waves under the Heaviest scheduler.
+			name: "alg2/consecutive",
+			topo: func() (ring.Topology, error) { return ring.Oriented(6) },
+			machines: func() ([]node.PulseMachine, error) {
+				topo, err := ring.Oriented(6)
+				if err != nil {
+					return nil, err
+				}
+				return core.Alg2Machines(topo, ring.ConsecutiveIDs(6))
+			},
+			bank: func() (node.FlatPulseMachine, error) {
+				topo, err := ring.Oriented(6)
+				if err != nil {
+					return nil, err
+				}
+				return core.NewFlatAlg2(topo, ring.ConsecutiveIDs(6))
+			},
+			budget: 4*core.PredictedAlg2Pulses(6, 6) + 1024,
+		},
+		{
+			name: "alg3/doubled",
+			topo: func() (ring.Topology, error) { return ring.NonOriented([]bool{false, true, true, false}) },
+			machines: func() ([]node.PulseMachine, error) {
+				return core.Alg3Machines(4, []uint64{3, 1, 4, 2}, core.SchemeDoubled)
+			},
+			bank: func() (node.FlatPulseMachine, error) {
+				return core.NewFlatAlg3(4, []uint64{3, 1, 4, 2}, core.SchemeDoubled)
+			},
+			budget: 4*core.PredictedAlg3Pulses(4, 4, core.SchemeDoubled) + 1024,
+		},
+	}
+}
+
+// compareRuns fails the test unless two runs agree exactly: the same
+// error text, event-for-event identical traces, and DeepEqual Results.
+func compareRuns(t *testing.T, label string,
+	refEv []sim.Event, refRes sim.Result, refErr error,
+	gotEv []sim.Event, gotRes sim.Result, gotErr error,
+) {
+	t.Helper()
+	if (refErr == nil) != (gotErr == nil) ||
+		(refErr != nil && refErr.Error() != gotErr.Error()) {
+		t.Fatalf("%s: run errors diverge: reference %v, got %v", label, refErr, gotErr)
+	}
+	if len(refEv) != len(gotEv) {
+		t.Fatalf("%s: trace lengths diverge: reference %d events, got %d", label, len(refEv), len(gotEv))
+	}
+	for i := range refEv {
+		if !reflect.DeepEqual(refEv[i], gotEv[i]) {
+			t.Fatalf("%s: event %d diverges:\nreference %+v\ngot       %+v", label, i, refEv[i], gotEv[i])
+		}
+	}
+	if !reflect.DeepEqual(refRes, gotRes) {
+		t.Fatalf("%s: results diverge:\nreference %+v\ngot       %+v", label, refRes, gotRes)
+	}
+}
+
+// recordEvents returns an observer option that appends a deep copy of
+// every event to *dst.
+func recordEvents(dst *[]sim.Event) sim.Option[pulse.Pulse] {
+	return sim.WithObserver[pulse.Pulse](sim.ObserverFunc[pulse.Pulse](
+		func(e *sim.Event, _ *sim.Sim[pulse.Pulse]) error {
+			cp := *e
+			cp.Sends = append([]sim.SendRec(nil), e.Sends...)
+			*dst = append(*dst, cp)
+			return nil
+		}))
+}
+
+// runInstance executes inst on the pointer or flat bank under a fresh
+// instance of the named stock scheduler and returns its event stream,
+// Result, and error.
+func runInstance(t *testing.T, inst algInstance, schedName string, seed int64, flat bool,
+	opts ...sim.Option[pulse.Pulse],
+) ([]sim.Event, sim.Result, error) {
+	t.Helper()
+	topo, err := inst.topo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []sim.Event
+	opts = append([]sim.Option[pulse.Pulse]{recordEvents(&events)}, opts...)
+	sched := sim.Stock(seed)[schedName]
+	var s *sim.Sim[pulse.Pulse]
+	if flat {
+		bank, err := inst.bank()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err = sim.NewFlat(topo, bank, sched, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		ms, err := inst.machines()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err = sim.New(topo, ms, sched, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, runErr := s.Run(inst.budget)
+	return events, res, runErr
+}
+
+// TestFlatMatchesPointerMachines is the representation differential:
+// for every stock scheduler, a flat struct-of-arrays bank driven through
+// sim.NewFlat must produce an event-for-event identical trace and Result
+// to the pointer-machine slice it mirrors.
+func TestFlatMatchesPointerMachines(t *testing.T) {
+	for _, inst := range algInstances() {
+		for schedName := range sim.Stock(1) {
+			t.Run(inst.name+"/"+schedName, func(t *testing.T) {
+				ptrEv, ptrRes, ptrErr := runInstance(t, inst, schedName, 5, false)
+				flatEv, flatRes, flatErr := runInstance(t, inst, schedName, 5, true)
+				compareRuns(t, "flat", ptrEv, ptrRes, ptrErr, flatEv, flatRes, flatErr)
+			})
+		}
 	}
 }
