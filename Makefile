@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint lint-bench build test race fuzz-smoke bench modelcheck-smoke fault-smoke fault-verify-smoke batch-smoke
+.PHONY: check fmt vet lint lint-bench build test race fuzz-smoke bench modelcheck-smoke fault-smoke fault-verify-smoke batch-smoke ledger-test
 
 # check chains the full tier-1 verify: formatting, vet, the oblint
 # model-invariant analyzer, build, and tests.
@@ -172,6 +172,13 @@ batch-smoke:
 	$(GO) test -race -run 'Batch' ./internal/sim/
 	@echo "batched replays byte-identical; batch path race-clean"
 	@rm -f .batch-run-a.txt .batch-run-b.txt
+
+# ledger-test runs the election ledger's own tests (~30 s). The ledger is
+# a separate module under _ledger/, so ./... never reaches it. Its
+# TestWrappersForward keeps the traced scheduler wrappers forwarding the
+# optional interfaces the engine's fast paths depend on.
+ledger-test:
+	cd _ledger && $(GO) test .
 
 # fuzz-smoke gives every fuzz target a short budget; used by CI.
 fuzz-smoke:

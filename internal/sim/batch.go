@@ -136,8 +136,9 @@ func checkRunUniformity(buf []pendingRun, consumed uint64) error {
 // and the deliverable set — enqueue, vectorized.
 func (s *Sim[M]) enqueueRun(c int, n uint64, dir pulse.Direction) {
 	var zero M
-	wasEmpty := s.queues[c].n == 0
-	s.queues[c].pushRun(entry[M]{seq: s.seq + 1, cnt: n, msg: zero})
+	q := &s.queues[c]
+	wasEmpty := q.n == 0
+	q.pushRun(entry[M]{seq: s.seq + 1, cnt: n, msg: zero})
 	s.seq += n
 	s.sent += n
 	if dir == pulse.CW {
@@ -147,10 +148,15 @@ func (s *Sim[M]) enqueueRun(c int, n uint64, dir pulse.Direction) {
 	}
 	if wasEmpty {
 		s.refreshChan(c)
-	} else if len(s.aux) > 0 && s.deliv.get(c) {
+		return
+	}
+	if len(s.aux) > 0 && s.deliv.get(c) {
 		// Head unchanged; re-register for count-keyed heaps only (the
 		// head-keyed ones dedup this push).
-		s.auxPush(c, s.queues[c].front().seq)
+		s.auxPush(c, q.front().seq)
+	}
+	if s.weights != nil {
+		s.reweigh(c)
 	}
 }
 

@@ -62,9 +62,9 @@ func faultInstances() []faultInstance {
 }
 
 // runFaulted runs one fresh simulation with an optional fault plane and
-// returns its full event trace, result, and error.
+// extra options, and returns its full event trace, result, and error.
 func runFaulted(t *testing.T, inst faultInstance, schedName string, seed int64,
-	plane *fault.Plane) ([]sim.Event, sim.Result, error) {
+	plane *fault.Plane, extra ...sim.Option[pulse.Pulse]) ([]sim.Event, sim.Result, error) {
 	t.Helper()
 	topo, err := inst.topo()
 	if err != nil {
@@ -87,6 +87,7 @@ func runFaulted(t *testing.T, inst faultInstance, schedName string, seed int64,
 	if plane != nil {
 		opts = append(opts, sim.WithFaultPlane[pulse.Pulse](plane))
 	}
+	opts = append(opts, extra...)
 	s, err := sim.New(topo, ms, sim.Stock(seed)[schedName], opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +141,58 @@ func TestZeroBudgetPlaneIdentity(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestFaultedOptimizedMatchesRescan is the optimized-vs-rescan
+// differential under a firing fault plane, for the schedulers whose pick
+// rides the WeightedView tree. Faults are where incremental upkeep can
+// drift from the scan: a crashed node's channels keep their pulses but
+// must stop counting toward the weighted pick, restart and corrupt flip
+// Ready, and spurious and duplicated pulses grow queues outside any
+// handler. Every run must match its WithRescanDeliverable twin event for
+// event, with identical Result, error and injection log.
+func TestFaultedOptimizedMatchesRescan(t *testing.T) {
+	classes := map[fault.Class]int{}
+	for _, inst := range faultInstances() {
+		for _, schedName := range []string{"random", "flaky"} {
+			for _, seed := range []int64{1, 2, 3, 5, 7, 11} {
+				name := fmt.Sprintf("%s/%s/seed=%d", inst.name, schedName, seed)
+				t.Run(name, func(t *testing.T) {
+					topo, err := inst.topo()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := fault.Config{Nodes: topo.N(), Classes: fault.AllClasses, Budget: 4, Horizon: 6}
+					run := func(extra ...sim.Option[pulse.Pulse]) ([]sim.Event, sim.Result, error, []fault.Injection) {
+						plane, err := fault.New(seed, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ev, res, runErr := runFaulted(t, inst, schedName, seed, plane, extra...)
+						return ev, res, runErr, plane.Log()
+					}
+					refEv, refRes, refErr, refLog := run(sim.WithRescanDeliverable[pulse.Pulse]())
+					gotEv, gotRes, gotErr, gotLog := run()
+					compareRuns(t, "optimized", refEv, refRes, refErr, gotEv, gotRes, gotErr)
+					if !reflect.DeepEqual(refLog, gotLog) {
+						t.Fatalf("injection logs diverge:\nrescan    %v\noptimized %v", refLog, gotLog)
+					}
+					for _, in := range gotLog {
+						if in.Fired {
+							classes[in.Class]++
+						}
+					}
+				})
+			}
+		}
+	}
+	// The differential only means something if the plane reached the
+	// runs: every class must have fired somewhere in the set.
+	for _, c := range []fault.Class{fault.Loss, fault.Dup, fault.Spurious, fault.Crash, fault.Restart, fault.Corrupt} {
+		if classes[c] == 0 {
+			t.Errorf("no %v injection fired across the differential set", c)
 		}
 	}
 }

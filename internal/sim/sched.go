@@ -65,10 +65,13 @@ type HeapHint struct {
 // HeapHinted is implemented by schedulers that want aux heaps: the
 // simulator consults it once at construction (never in rescan mode, so
 // the rescan reference exercises the plain scans) and serves the heaps
-// back through the NewestView / DirOldestView / RankedView fast paths.
-// A heap-served pick must equal the corresponding Deliverable() scan's
-// pick exactly — the optimized-vs-rescan scheduler-trace differential
-// asserts this for every stock scheduler.
+// back through the NewestView / DirOldestView / RankedView /
+// HeaviestView fast paths. A heap-served pick must equal the
+// corresponding Deliverable() scan's pick exactly — the
+// optimized-vs-rescan scheduler-trace differential asserts this for
+// every stock scheduler. A scheduler wrapper that drops this interface
+// silently sends its inner scheduler back to the scan. WeightedView
+// needs no hint, so it survives such wrappers.
 type HeapHinted interface {
 	HeapHints() []HeapHint
 }
@@ -102,6 +105,22 @@ type RankedView interface {
 // scan's tie-break). ok is false when the fast path is unavailable.
 type HeaviestView interface {
 	HeaviestDeliverable() (c int, ok bool)
+}
+
+// WeightedView is an optional fast path for Random's pick, backed by a
+// Fenwick tree over per-channel weights: a channel's queued-pulse count
+// while deliverable, 0 otherwise. DeliverableWeight returns the total
+// weight; ok is false when the fast path is unavailable (the rescan
+// reference) and the caller must scan. PickWeighted returns the first
+// deliverable channel, in ascending id order, whose running weight sum
+// exceeds x, for x in [0, total): exactly the channel a
+// "x -= QueueLen(c)" scan over Deliverable() stops at. The simulator
+// builds the tree on the first DeliverableWeight call and keeps it
+// current from then on, so it needs no HeapHint and a scheduler that
+// never asks pays for no tree.
+type WeightedView interface {
+	DeliverableWeight() (total int, ok bool)
+	PickWeighted(x int) int
 }
 
 type view[M any] struct{ s *Sim[M] }
@@ -144,6 +163,19 @@ func (v *view[M]) HeaviestDeliverable() (int, bool) {
 	}
 	return 0, false
 }
+
+func (v *view[M]) DeliverableWeight() (int, bool) {
+	s := v.s
+	if s.rescan {
+		return 0, false
+	}
+	if s.weights == nil {
+		s.buildWeights()
+	}
+	return int(s.weights.total), true
+}
+
+func (v *view[M]) PickWeighted(x int) int { return v.s.weights.pick(int64(x)) }
 
 // Scheduler chooses the next delivery. Next is called only when at least
 // one channel is deliverable and must return one of View.Deliverable().
@@ -248,6 +280,10 @@ func (Heaviest) HeapHints() []HeapHint { return []HeapHint{{Kind: HeapHeaviest}}
 
 // Random delivers a uniformly random in-flight deliverable message
 // (channels weighted by queue length). Deterministic for a fixed seed.
+// Each pick draws one rng.Intn(total) and maps it onto the channels in
+// ascending id order; WeightedView lets the simulator do that mapping
+// with a Fenwick-tree descent in O(log channels) instead of two passes
+// over Deliverable(), with the same draw and the same channel.
 type Random struct{ rng *rand.Rand }
 
 // NewRandom returns a Random scheduler seeded with seed.
@@ -257,6 +293,11 @@ func NewRandom(seed int64) *Random {
 
 // Next implements Scheduler.
 func (r *Random) Next(v View) int {
+	if wv, ok := v.(WeightedView); ok {
+		if total, ok := wv.DeliverableWeight(); ok {
+			return wv.PickWeighted(r.rng.Intn(total))
+		}
+	}
 	ds := v.Deliverable()
 	total := 0
 	for _, c := range ds {
@@ -343,7 +384,8 @@ func (d DirBiased) HeapHints() []HeapHint {
 // quiet stretches punctuated by reordering storms. Despite its stock name
 // ("flaky"), it never drops or corrupts anything — a scheduler only reorders
 // delivery; actual pulse loss, duplication, and injection live in
-// internal/fault and attach via WithFaultPlane.
+// internal/fault and attach via WithFaultPlane. Storm bursts take the
+// inner Random's WeightedView pick; canonical bursts ride the oldest heap.
 type Laggy struct {
 	rng    *rand.Rand
 	stormy bool

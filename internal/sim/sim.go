@@ -181,6 +181,10 @@ type Sim[M any] struct {
 	// which keeps the rescan reference a heap-free oracle.
 	aux []auxHeap
 
+	// weights is WeightedView's Fenwick tree (Random's pick): nil until
+	// a scheduler first asks for it, and always nil in rescan mode.
+	weights *fenwick
+
 	step      uint64
 	seq       uint64
 	sent      uint64
@@ -687,26 +691,33 @@ func (s *Sim[M]) flushSends(from int, ev *Event) error {
 // Sent and InFlight count adversarial traffic too.
 func (s *Sim[M]) enqueue(c int, msg M, dir pulse.Direction) {
 	s.seq++
-	s.queues[c].push(entry[M]{seq: s.seq, cnt: 1, msg: msg})
+	q := &s.queues[c]
+	q.push(entry[M]{seq: s.seq, cnt: 1, msg: msg})
 	s.sent++
 	if dir == pulse.CW {
 		s.sentCW++
 	} else {
 		s.sentCCW++
 	}
-	if s.queues[c].n == 1 {
+	if q.n == 1 {
 		// Empty -> non-empty is the only enqueue transition that can
 		// change deliverability.
 		s.refreshChan(c)
-	} else if len(s.aux) > 0 && s.deliv.get(c) {
+		return
+	}
+	if len(s.aux) > 0 && s.deliv.get(c) {
 		// The head is unchanged, so the head-keyed heaps dedup this to
 		// a no-op; only a count-keyed heap (HeapHeaviest) re-registers.
-		s.auxPush(c, s.queues[c].front().seq)
+		s.auxPush(c, q.front().seq)
+	}
+	if s.weights != nil {
+		s.reweigh(c)
 	}
 }
 
 // refreshChan recomputes channel c's bit in the deliverable set and, when
-// deliverable, registers its current head in the oldest-message heap.
+// deliverable, registers its current head in the oldest-message heap;
+// either way it re-weighs c in the WeightedView tree.
 func (s *Sim[M]) refreshChan(c int) {
 	k := ChanNode(c)
 	was := s.deliv.get(c)
@@ -722,6 +733,9 @@ func (s *Sim[M]) refreshChan(c int) {
 	} else if was {
 		s.deliv.clear(c)
 		s.delivCount--
+	}
+	if s.weights != nil {
+		s.reweigh(c)
 	}
 }
 
