@@ -140,13 +140,17 @@ fault-smoke:
 # conserving classes) and a budget-aborted divergent census (dup) must
 # both emit byte-identical -json reports at workers=1 and workers=4 —
 # partial reports included, via the canonical sequential fallback — and
-# the crash-then-heal supervisor must be race-clean.
+# the crash-then-heal supervisor must be race-clean. An audited run of
+# the finite census certifies the fingerprint memo, fault section
+# included, collision-free on it.
 fault-verify-smoke:
 	$(GO) run ./cmd/modelcheck -algo alg2 -ids 3,1,2 -faults loss,crash,corrupt \
 		-json -workers 1 > .fverify-w1.json
 	$(GO) run ./cmd/modelcheck -algo alg2 -ids 3,1,2 -faults loss,crash,corrupt \
 		-json -workers 4 > .fverify-w4.json
 	cmp .fverify-w1.json .fverify-w4.json
+	$(GO) run ./cmd/modelcheck -algo alg2 -ids 3,1,2 -faults loss,crash,corrupt \
+		-audit-collisions >/dev/null
 	-$(GO) run ./cmd/modelcheck -algo alg2 -ids 3,1,2 -faults dup -max-states 20000 \
 		-json -workers 1 > .fverify-div-w1.json
 	-$(GO) run ./cmd/modelcheck -algo alg2 -ids 3,1,2 -faults dup -max-states 20000 \
@@ -154,7 +158,7 @@ fault-verify-smoke:
 	cmp .fverify-div-w1.json .fverify-div-w4.json
 	grep -q '"ok": false' .fverify-div-w1.json  # the divergent census must abort on budget
 	$(GO) test -race -run 'TestSupervisor|TestStallReport|TestErrTimeout' ./internal/live/
-	@echo "fault-aware reports identical at workers=1 and workers=4 (finite and budget-aborted); supervisor race-clean"
+	@echo "fault-aware reports identical at workers=1 and workers=4 (finite and budget-aborted); audit clean; supervisor race-clean"
 	@rm -f .fverify-w1.json .fverify-w4.json .fverify-div-w1.json .fverify-div-w4.json
 
 # batch-smoke proves the batch fast path's determinism contract: two

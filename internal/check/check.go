@@ -6,10 +6,10 @@
 // model of Section 2, turning claims like "Theorem 1 holds under every
 // schedule" into machine-checked facts for small instances.
 //
-// The state space is pruned by memoizing canonical state encodings
-// (node.Cloneable.StateKey plus per-channel queue depths), which keeps the
-// exploration polynomial in ID_max for the paper's algorithms even though
-// the raw schedule tree is exponential.
+// The state space is pruned by memoizing canonical states (each machine's
+// node.Cloneable.StateKey plus per-channel queue depths and init bits),
+// which keeps the exploration polynomial in ID_max for the paper's
+// algorithms even though the raw schedule tree is exponential.
 //
 // Three engine-level optimizations make larger instances tractable:
 //
@@ -19,10 +19,15 @@
 //     place, and reverts on backtrack via an undo log of queue, init-bit,
 //     and sent-counter deltas. Machines that do not implement Undoable
 //     fall back to a per-step CloneMachine copy.
-//   - A fingerprint memo table (MemoFingerprint): 64-bit hashes of the
-//     binary state key in an open-addressing table replace the
+//   - A fingerprint memo table (MemoFingerprint): 64-bit state
+//     fingerprints in an open-addressing table replace the
 //     map[string]struct{} of full keys, eliminating the per-state string
-//     copy. MemoAudit certifies a run collision-free.
+//     copy. A fingerprint is a sum of per-component hashes — one per
+//     machine, queued pulse and init bit — plus a hash of the fault
+//     section; the undo stepper keeps the sum current as it applies and
+//     reverts steps, so a visit re-encodes only the machine the step ran
+//     and never builds the whole state key. MemoAudit certifies a run
+//     collision-free.
 //   - Parallel exploration (Config.Workers > 1): a work-sharing pool over
 //     subtree tasks with the visited set sharded behind per-shard locks.
 //     Because every path to a state has the same length (each step is one
@@ -153,13 +158,7 @@ var (
 // packed init bits.
 func appendStateKey(b []byte, st *state) []byte {
 	for _, m := range st.ms {
-		if ka, ok := m.(node.KeyAppender); ok {
-			b = ka.AppendStateKey(b)
-		} else {
-			k := m.StateKey()
-			b = node.AppendKey32(b, uint32(len(k)))
-			b = append(b, k...)
-		}
+		b = appendMachineKey(b, m)
 	}
 	for _, q := range st.queues {
 		b = node.AppendKey32(b, q)
@@ -247,7 +246,8 @@ func runSequential(cfg Config) (FaultReport, error) {
 		return ex.rep, err
 	}
 	ex := &undoExplorer{cfg: cfg, memo: memo, steps: prefix}
-	ex.stepper = stepper{topo: cfg.Topo, n: cfg.Topo.N(), st: root}
+	ex.stepper = stepper{topo: cfg.Topo, n: cfg.Topo.N()}
+	ex.reset(root)
 	err = ex.dfs(0)
 	return ex.rep, err
 }
@@ -449,12 +449,18 @@ type cloneExplorer struct {
 	memo   memoTable
 	rep    FaultReport
 	steps  []Step // schedule from the root to the current state
-	keyBuf []byte // reusable buffer for state-key encoding
+	keyBuf []byte // reusable buffer for fingerprint and state-key encoding
 }
 
 func (ex *cloneExplorer) dfs(st *state, depth int) error {
-	ex.keyBuf = appendStateKey(ex.keyBuf[:0], st)
-	added, merr := ex.memo.insert(fingerprint(ex.keyBuf), ex.keyBuf)
+	var fp uint64
+	fp, ex.keyBuf = stateFingerprint(st, ex.keyBuf)
+	var key []byte
+	if ex.cfg.Memo.keyed() {
+		ex.keyBuf = appendStateKey(ex.keyBuf[:0], st)
+		key = ex.keyBuf
+	}
+	added, merr := ex.memo.insert(fp, key)
 	if merr != nil {
 		return wrapWitness(merr, ex.steps)
 	}

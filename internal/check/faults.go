@@ -265,7 +265,9 @@ func (fx *faultX) okDeliv(c int) bool {
 }
 
 // appendFaultKey folds the fault plane into the state key (see the memo
-// soundness note atop this file). Counters saturate at Window+1 — two
+// soundness note atop this file); its bytes, hashed per visit, are also
+// the fault section's component of the memo fingerprint
+// (finishFingerprint). Counters saturate at Window+1 — two
 // states whose counters are both past the window admit the same injections
 // forever after, so merging them is sound.
 func appendFaultKey(b []byte, fx *faultX, sent uint64) []byte {
@@ -416,19 +418,28 @@ func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 		snapOff:   int32(len(sp.snapArena)),
 		sendOff:   int32(len(sp.sendArena)),
 		fault:     s.Fault,
+		sum:       sp.sum,
+	}
+	if s.Init >= 0 {
+		// Every node-targeted frame saves the term, since revert restores
+		// it for any frame naming a machine.
+		fr.term = sp.terms[s.Init]
 	}
 	switch s.Fault {
 	case fault.Loss:
 		fr.deliverCh = int32(s.Chan)
 		st.queues[s.Chan]--
 		st.sent--
+		sp.sum -= chanWeight(s.Chan)
 		return fr, nil
 	case fault.Dup, fault.Spurious:
 		fr.deliverCh = int32(s.Chan)
 		st.queues[s.Chan]++
 		st.sent++
+		sp.sum += chanWeight(s.Chan)
 		return fr, nil
 	case fault.Crash:
+		// The crashed bit lives in the fault section: no term changes.
 		fr.mach = int32(s.Init)
 		fx.crashed[s.Init] = true
 		return fr, nil
@@ -445,6 +456,7 @@ func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 		}
 		sp.col = collector{topo: sp.topo, st: st, from: k, log: &sp.sendArena}
 		st.ms[k].Init(&sp.col)
+		sp.retally(k, fr.sendOff)
 		if sp.col.err != nil {
 			return fr, sp.col.err
 		}
@@ -459,6 +471,7 @@ func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 			sp.faultScratch[len(sp.faultScratch)-1] ^= s.Mask
 			u.Restore(sp.faultScratch)
 		}
+		sp.retally(k, fr.sendOff)
 		return fr, st.afterHandler(k)
 	}
 	return fr, fmt.Errorf("check: unknown fault class %v", s.Fault)

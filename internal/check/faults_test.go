@@ -151,6 +151,47 @@ func TestFaultReportsDeterministic(t *testing.T) {
 	}
 }
 
+// TestFaultFingerprintMatchesFullKeys is the fault-mode counterpart of
+// TestFingerprintMatchesFullKeys: on the TestFaultReportsDeterministic
+// instance, every fault class (and one windowed plan) explores
+// identically under the fingerprint, full-key and audit memos — same
+// report, same error, same witness. Divergent classes must hit the state
+// budget at the same point, which the identical partial reports and
+// witnesses pin.
+func TestFaultFingerprintMatchesFullKeys(t *testing.T) {
+	type planCase struct {
+		name string
+		plan fault.Plan
+	}
+	var plans []planCase
+	for _, cl := range []fault.Class{fault.Loss, fault.Dup, fault.Spurious, fault.Crash, fault.Restart, fault.Corrupt} {
+		plans = append(plans, planCase{cl.String(), fault.Plan{Classes: fault.NewSet(cl), Budget: 1}})
+	}
+	plans = append(plans, planCase{"windowed", fault.Plan{Classes: fault.AllClasses, Budget: 1, Window: 1}})
+	for _, pc := range plans {
+		pc := pc
+		t.Run(pc.name, func(t *testing.T) {
+			run := func(memo check.MemoMode) (check.FaultReport, error) {
+				cfg := alg2Config(t, []uint64{2, 3, 1}, false)
+				cfg.MaxStates = 20000
+				cfg.Memo = memo
+				return check.ExhaustiveFaults(cfg, pc.plan)
+			}
+			exactRep, exactErr := run(check.MemoFullKeys)
+			want := outcome(exactRep.Report, exactErr) + fmt.Sprintf(" fault=%+v", exactRep)
+			for _, memo := range []check.MemoMode{check.MemoFingerprint, check.MemoAudit} {
+				rep, err := run(memo)
+				if got := outcome(rep.Report, err) + fmt.Sprintf(" fault=%+v", rep); got != want {
+					t.Errorf("%v memo diverged from full keys:\n %v:   %s\n exact: %s", memo, memo, got, want)
+				}
+				if errors.Is(err, check.ErrStateBudget) != errors.Is(exactErr, check.ErrStateBudget) {
+					t.Errorf("%v memo: err = %v, full keys: %v", memo, err, exactErr)
+				}
+			}
+		})
+	}
+}
+
 // TestAlg2CrashStrandsPulses: a fail-stop node under Algorithm 2 leaves
 // its queued pulses undeliverable on some schedules — every crash is
 // eventually visible as a stalled or degraded terminal, never as a clean

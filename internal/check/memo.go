@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"coleader/internal/node"
+	"coleader/internal/pulse"
 )
 
 // MemoMode selects the visited-set representation of an exploration.
@@ -12,14 +13,21 @@ type MemoMode uint8
 
 // Visited-set representations.
 const (
-	// MemoFingerprint (the default) stores 64-bit fingerprints of the
-	// binary state keys in an open-addressing table. This cuts the
-	// dominant memo-table allocation (one string copy per distinct state)
-	// to nothing, at the theoretical cost of fingerprint collisions
-	// silently merging two distinct states: with k distinct states the
-	// collision probability is about k²/2⁶⁵, i.e. ~3·10⁻⁸ for a million
-	// states. The hash is fixed (no per-process seed), so any collision
-	// is at least deterministic and reproducible under MemoAudit.
+	// MemoFingerprint (the default) stores 64-bit state fingerprints in
+	// an open-addressing table and never builds a state key. The
+	// fingerprint is a sum of per-component hashes (one per machine, one
+	// per queued pulse, one per init bit) that the undo stepper keeps
+	// current as it steps, plus a per-state hash of the fault section
+	// (see stateFingerprint). This cuts the dominant memo-table
+	// allocation (one string copy per distinct state) and the per-visit
+	// key encoding to nothing, at the theoretical cost of fingerprint
+	// collisions silently merging two distinct states. Treating each
+	// state's fingerprint as a uniform 64-bit value, k distinct states
+	// collide with probability about k²/2⁶⁵, i.e. ~3·10⁻⁸ for a million
+	// states; the sum is not a universal hash, so that figure is a
+	// model, and MemoAudit is what certifies a given instance. The
+	// hash is fixed (no per-process seed), so any collision is at least
+	// deterministic and reproducible under MemoAudit.
 	MemoFingerprint MemoMode = iota
 
 	// MemoFullKeys stores the full binary keys: exact, allocation-heavy.
@@ -30,6 +38,10 @@ const (
 	// ever share a fingerprint. Use it to certify a MemoFingerprint run.
 	MemoAudit
 )
+
+// keyed reports whether the mode's table needs the full state key beside
+// the fingerprint; MemoFingerprint runs never build one.
+func (m MemoMode) keyed() bool { return m != MemoFingerprint }
 
 // String names the mode.
 func (m MemoMode) String() string {
@@ -45,7 +57,8 @@ func (m MemoMode) String() string {
 	}
 }
 
-// fingerprint hashes the binary state key 8 bytes at a time: each 64-bit
+// fingerprint hashes a binary key — one machine's, or the fault
+// section's (see Component hashing below) — 8 bytes at a time: each 64-bit
 // word is xored into the running hash and scrambled through the SplitMix64
 // finalizer (a bijection, so no word-level information is discarded), with
 // the key length folded into the initial value to separate prefixes.
@@ -78,10 +91,95 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// Component hashing (Zobrist style). A state's fingerprint is mix64 of
+// the sum, mod 2⁶⁴, of
+//
+//   - one term per machine k: mix64(fingerprint(machine key) + k·machineSalt),
+//   - q_c·chanWeight(c) per channel c holding q_c pulses,
+//   - initWeight(k) per set init bit,
+//   - and, in fault mode, fingerprint of the fault section's bytes
+//     (appendFaultKey).
+//
+// One step changes one machine, a few queue depths and at most one init
+// bit, so the stepper keeps the sum current in O(changed components)
+// instead of re-encoding and rehashing the whole state. The fault
+// section is small and path-dependent (it carries the injection log), so
+// it is hashed per visit rather than kept incrementally. The weights are
+// fixed, unseeded constants, for the same reproducibility as fingerprint.
+const (
+	machineSalt = 0x9e3779b97f4a7c15
+	chanSalt    = 0xd1b54a32d192ed03
+	initSalt    = 0x8cb92ba72f3d8dd7
+)
+
+// machineTerm is machine k's component hash, given its binary key.
+func machineTerm(k int, key []byte) uint64 {
+	return mix64(fingerprint(key) + uint64(k+1)*machineSalt)
+}
+
+// chanWeight is the odd weight one queued pulse on channel c adds.
+func chanWeight(c int) uint64 { return mix64(uint64(c)+chanSalt) | 1 }
+
+// initWeight is the weight node k's set init bit adds.
+func initWeight(k int) uint64 { return mix64(uint64(k) + initSalt) }
+
+// appendMachineKey appends one machine's binary key: its KeyAppender
+// encoding, or its StateKey text prefixed by the text's length.
+func appendMachineKey(b []byte, m node.Cloneable[pulse.Pulse]) []byte {
+	if ka, ok := m.(node.KeyAppender); ok {
+		return ka.AppendStateKey(b)
+	}
+	k := m.StateKey()
+	b = node.AppendKey32(b, uint32(len(k)))
+	return append(b, k...)
+}
+
+// componentSum computes st's component sum from scratch, storing each
+// machine's term into terms when it is non-nil (len(st.ms) entries). buf
+// is encoding scratch; the grown buffer is returned for reuse.
+func componentSum(st *state, terms []uint64, buf []byte) (uint64, []byte) {
+	var sum uint64
+	for k, m := range st.ms {
+		buf = appendMachineKey(buf[:0], m)
+		t := machineTerm(k, buf)
+		if terms != nil {
+			terms[k] = t
+		}
+		sum += t
+	}
+	for c, q := range st.queues {
+		sum += uint64(q) * chanWeight(c)
+	}
+	for k, in := range st.inited {
+		if in {
+			sum += initWeight(k)
+		}
+	}
+	return sum, buf
+}
+
+// finishFingerprint turns a component sum into st's memo fingerprint by
+// folding in the fault section (fault mode only) and finalizing.
+func finishFingerprint(sum uint64, st *state, buf []byte) (uint64, []byte) {
+	if st.fx != nil {
+		buf = appendFaultKey(buf[:0], st.fx, st.sent)
+		sum += fingerprint(buf)
+	}
+	return mix64(sum), buf
+}
+
+// stateFingerprint is the from-scratch memo fingerprint of st: the
+// oracle the stepper's running sum is kept equal to, and the clone
+// engine's fingerprint. buf is encoding scratch, returned grown.
+func stateFingerprint(st *state, buf []byte) (uint64, []byte) {
+	sum, buf := componentSum(st, nil, buf)
+	return finishFingerprint(sum, st, buf)
+}
+
 // memoTable is the visited-state set. insert reports whether the state was
 // new; it errors only in MemoAudit mode, on a fingerprint collision. The
-// key slice is only valid during the call; implementations that retain it
-// must copy.
+// key slice is nil in MemoFingerprint mode and otherwise only valid during
+// the call; implementations that retain it must copy.
 type memoTable interface {
 	insert(fp uint64, key []byte) (added bool, err error)
 }

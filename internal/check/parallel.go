@@ -119,8 +119,7 @@ func (p *parExplorer) dfs(sp *stepper, depth int) {
 	if p.failed.Load() {
 		return
 	}
-	key := sp.key()
-	added, err := p.memo.insert(fingerprint(key), key)
+	added, err := p.memo.insert(sp.fingerprint(), sp.memoKey(p.cfg.Memo))
 	if err != nil {
 		p.fail()
 		return

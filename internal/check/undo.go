@@ -10,17 +10,25 @@ import (
 )
 
 // stepper owns the apply/revert machinery over one mutable state. All
-// scratch storage — the key buffer, the machine-snapshot arena, the
+// scratch storage — the key buffers, the machine-snapshot arena, the
 // send-undo log, and the choice arena — lives here and is reused with
 // stack discipline, so stepping allocates nothing once the arenas have
 // grown to the exploration's depth. Both the sequential undo engine and
 // each parallel worker embed one.
+//
+// The stepper also keeps the state's component sum (see componentSum)
+// current: apply adds what the step changed and revert restores the sum
+// saved in the frame, so sum always equals componentSum(st).
 type stepper struct {
 	topo ring.Topology
 	n    int
 	st   *state
 
+	sum   uint64   // componentSum of st, kept incrementally
+	terms []uint64 // per-machine terms of sum
+
 	keyBuf       []byte
+	hashBuf      []byte  // one machine's key, or the fault section's
 	snapArena    []byte  // machine snapshots, stacked per applied step
 	sendArena    []int32 // channel ids incremented, stacked per applied step
 	choiceArena  []int32 // schedulable events, stacked per visited state
@@ -43,15 +51,52 @@ type undoFrame struct {
 	// name the target); wasCrashed preserves a Restart victim's flag.
 	fault      faultClass
 	wasCrashed bool
+	// sum and term are the stepper's component sum and machine mach's
+	// term before the step; revert restores both.
+	sum, term uint64
 }
 
-// reset points the stepper at a new state and discards all stacked scratch
-// (capacity is kept).
+// reset points the stepper at a new state, discards all stacked scratch
+// (capacity is kept) and computes the state's component sum from scratch.
 func (sp *stepper) reset(st *state) {
 	sp.st = st
 	sp.snapArena = sp.snapArena[:0]
 	sp.sendArena = sp.sendArena[:0]
 	sp.choiceArena = sp.choiceArena[:0]
+	if cap(sp.terms) < len(st.ms) {
+		sp.terms = make([]uint64, len(st.ms))
+	}
+	sp.terms = sp.terms[:len(st.ms)]
+	sp.sum, sp.hashBuf = componentSum(st, sp.terms, sp.hashBuf)
+}
+
+// fingerprint is the current state's memo fingerprint, from the running
+// component sum.
+func (sp *stepper) fingerprint() uint64 {
+	fp, buf := finishFingerprint(sp.sum, sp.st, sp.hashBuf)
+	sp.hashBuf = buf
+	return fp
+}
+
+// memoKey is the full state key when the memo mode needs one, else nil.
+func (sp *stepper) memoKey(mode MemoMode) []byte {
+	if !mode.keyed() {
+		return nil
+	}
+	return sp.key()
+}
+
+// retally folds one handler run into the component sum: machine k's term
+// is re-encoded, and every channel on the send log past sendOff gains one
+// pulse's weight.
+func (sp *stepper) retally(k int, sendOff int32) {
+	sp.hashBuf = appendMachineKey(sp.hashBuf[:0], sp.st.ms[k])
+	t := machineTerm(k, sp.hashBuf)
+	sp.sum += t - sp.terms[k]
+	sp.terms[k] = t
+	for _, ch := range sp.sendArena[sendOff:] {
+		sp.sum += chanWeight(int(ch))
+	}
 }
 
 // key encodes the current state into the reusable key buffer. The result
@@ -83,6 +128,8 @@ func (sp *stepper) apply(s Step) (undoFrame, error) {
 		deliverCh: ch,
 		snapOff:   int32(len(sp.snapArena)),
 		sendOff:   int32(len(sp.sendArena)),
+		sum:       sp.sum,
+		term:      sp.terms[k],
 	}
 	m := sp.st.ms[k]
 	if u, ok := m.(node.Undoable); ok {
@@ -99,11 +146,14 @@ func (sp *stepper) apply(s Step) (undoFrame, error) {
 	sp.col = collector{topo: sp.topo, st: sp.st, from: k, log: &sp.sendArena}
 	if ch < 0 {
 		sp.st.inited[k] = true
+		sp.sum += initWeight(k)
 		m.Init(&sp.col)
 	} else {
 		sp.st.queues[ch]--
+		sp.sum -= chanWeight(int(ch))
 		m.OnMsg(pulse.Port(int(ch)&1), pulse.Pulse{}, &sp.col)
 	}
+	sp.retally(k, fr.sendOff)
 	if sp.col.err != nil {
 		return fr, sp.col.err
 	}
@@ -111,9 +161,14 @@ func (sp *stepper) apply(s Step) (undoFrame, error) {
 }
 
 // revert undoes an applied step: queue increments come back off the send
-// log, the consumed pulse (or init bit) is restored, and the machine
-// rewinds from its snapshot (or swaps back to the pre-step clone).
+// log, the consumed pulse (or init bit) is restored, the machine rewinds
+// from its snapshot (or swaps back to the pre-step clone), and the
+// component sum and machine term are restored from the frame.
 func (sp *stepper) revert(fr undoFrame) {
+	sp.sum = fr.sum
+	if fr.mach >= 0 {
+		sp.terms[fr.mach] = fr.term
+	}
 	if fr.fault != 0 {
 		sp.revertFault(fr)
 		return
@@ -241,8 +296,7 @@ type undoExplorer struct {
 }
 
 func (ex *undoExplorer) dfs(depth int) error {
-	key := ex.key()
-	added, merr := ex.memo.insert(fingerprint(key), key)
+	added, merr := ex.memo.insert(ex.fingerprint(), ex.memoKey(ex.cfg.Memo))
 	if merr != nil {
 		return wrapWitness(merr, ex.steps)
 	}
