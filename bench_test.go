@@ -235,7 +235,7 @@ func BenchmarkAlg1Geometric(b *testing.B) {
 	})
 }
 
-// BenchmarkAlg2FlatOriented isolates the struct-of-arrays bank on the
+// BenchmarkAlg2FlatOriented isolates the FlatAlg2 machine bank on the
 // sequential engine at E1's largest size: the delta against
 // BenchmarkAlg2Oriented/n=512 is the pointer-machine overhead alone.
 func BenchmarkAlg2FlatOriented(b *testing.B) {

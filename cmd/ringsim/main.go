@@ -57,7 +57,7 @@ func run() error {
 	faultBudget := flag.Int("fault-budget", 1, "number of injections to schedule (with -faults)")
 	faultTrigger := flag.String("fault-trigger", "local", "trigger mode for -faults: local (per-entity event ordinals) | window (ring-wide delivery ordinals)")
 	heal := flag.String("heal", "", "with -live -faults: supervise crashes and revive nodes (checkpoint | init)")
-	flat := flag.Bool("flat", false, "use the struct-of-arrays machine bank (scale mode)")
+	flat := flag.Bool("flat", false, "use the flat machine bank (scale mode)")
 	batch := flag.Bool("batch", false, "coalesce pulse runs into O(1) batch transitions (scale mode; best with -sched heaviest)")
 	idgen := flag.String("idgen", "consecutive", "ID generation for scale-mode runs without -ids: consecutive | geometric | alg4")
 	flag.Parse()

@@ -15,8 +15,8 @@ import (
 // simulator, which with -batch and -sched heaviest coalesces pulse runs
 // into O(1) transitions and covers million-node rings on a single core.
 // IDs come from -ids for small runs or from a generator for large ones;
-// -flat switches the machine bank to the struct-of-arrays
-// representation, the memory-lean configuration million-node runs want.
+// -flat switches to a machine bank (one contiguous slice of machine
+// records), the memory-lean configuration million-node runs want.
 func runScale(algo, idsFlag, idgen string, n int, c float64,
 	schedName string, seed int64, flat, batch bool) error {
 	var ids []uint64

@@ -20,25 +20,21 @@ import (
 //
 // Never use this machine for anything but ablation studies.
 type Alg2Unguarded struct {
-	id     uint64
-	cwPort pulse.Port
-
+	id             uint64
 	rhoCW, sigCW   uint64
 	rhoCCW, sigCCW uint64
+	err            error
 
+	cwPort     pulse.Port
 	state      node.State
 	termSent   bool
 	terminated bool
-	err        error
 }
 
 // NewAlg2Unguarded returns the ablated machine.
 func NewAlg2Unguarded(id uint64, cwPort pulse.Port) (*Alg2Unguarded, error) {
-	if id == 0 {
-		return nil, fmt.Errorf("core: ID must be positive")
-	}
-	if !cwPort.Valid() {
-		return nil, fmt.Errorf("core: invalid clockwise port %d", cwPort)
+	if err := checkOriented(id, cwPort); err != nil {
+		return nil, err
 	}
 	return &Alg2Unguarded{id: id, cwPort: cwPort}, nil
 }
@@ -114,13 +110,10 @@ func (a *Alg2Unguarded) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-// StateKey implements node.Cloneable.
-func (a *Alg2Unguarded) StateKey() string {
-	return fmt.Sprintf("a2u|%d|%d|%d|%d|%d|%d|%d|%t|%t",
-		a.id, a.cwPort, a.rhoCW, a.sigCW, a.rhoCCW, a.sigCCW, a.state, a.termSent, a.terminated)
-}
+// StateKey implements node.Cloneable: the AppendStateKey bytes.
+func (a *Alg2Unguarded) StateKey() string { return string(a.AppendStateKey(nil)) }
 
-// AppendStateKey implements node.KeyAppender: the binary form of StateKey.
+// AppendStateKey implements node.KeyAppender.
 func (a *Alg2Unguarded) AppendStateKey(dst []byte) []byte {
 	flags := byte(a.state)
 	if a.termSent {

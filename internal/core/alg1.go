@@ -19,25 +19,39 @@ import (
 // Leader state (Lemma 16 extends this to non-unique IDs).
 //
 // The algorithm stabilizes but never terminates: Ready stays true forever.
+//
+// The one-byte fields sit after err so a FlatAlg1 slot is 48 B.
 type Alg1 struct {
 	id     uint64
-	cwPort pulse.Port // the port leading to the clockwise neighbor
-	rhoCW  uint64     // clockwise pulses received
-	sigCW  uint64     // clockwise pulses sent
-	state  node.State
+	rhoCW  uint64 // clockwise pulses received
+	sigCW  uint64 // clockwise pulses sent
 	err    error
+	cwPort pulse.Port // the port leading to the clockwise neighbor
+	state  node.State
 }
 
 // NewAlg1 returns an Algorithm 1 machine for a node with the given positive
 // ID whose clockwise neighbor is reached through cwPort.
 func NewAlg1(id uint64, cwPort pulse.Port) (*Alg1, error) {
-	if id == 0 {
-		return nil, fmt.Errorf("core: ID must be positive")
-	}
-	if !cwPort.Valid() {
-		return nil, fmt.Errorf("core: invalid clockwise port %d", cwPort)
+	if err := checkOriented(id, cwPort); err != nil {
+		return nil, err
 	}
 	return &Alg1{id: id, cwPort: cwPort}, nil
+}
+
+// checkOriented validates the constructor arguments shared by the
+// oriented-ring machines (Alg1, Alg2 and the Alg2Unguarded ablation).
+// Keeping it out of line lets NewAlg1 and NewAlg2 inline into the bank
+// builders of flat.go, which then fill each slot without a heap
+// allocation.
+func checkOriented(id uint64, cwPort pulse.Port) error {
+	if id == 0 {
+		return fmt.Errorf("core: ID must be positive")
+	}
+	if !cwPort.Valid() {
+		return fmt.Errorf("core: invalid clockwise port %d", cwPort)
+	}
+	return nil
 }
 
 // ID returns the node's identifier.
@@ -89,12 +103,10 @@ func (a *Alg1) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-// StateKey implements node.Cloneable.
-func (a *Alg1) StateKey() string {
-	return fmt.Sprintf("a1|%d|%d|%d|%d|%d", a.id, a.cwPort, a.rhoCW, a.sigCW, a.state)
-}
+// StateKey implements node.Cloneable: the AppendStateKey bytes.
+func (a *Alg1) StateKey() string { return string(a.AppendStateKey(nil)) }
 
-// AppendStateKey implements node.KeyAppender: the binary form of StateKey.
+// AppendStateKey implements node.KeyAppender.
 func (a *Alg1) AppendStateKey(dst []byte) []byte {
 	dst = append(dst, 'B', '1', byte(a.cwPort), byte(a.state))
 	dst = node.AppendKey64(dst, a.id)

@@ -21,27 +21,25 @@ import (
 // upon its first observation of rho_ccw > rho_cw, forwarding the extra
 // pulse once (non-leaders) or absorbing it (the leader, which terminates
 // last).
+//
+// The one-byte fields sit after err so a FlatAlg2 slot is 64 B.
 type Alg2 struct {
-	id     uint64
-	cwPort pulse.Port
-
+	id             uint64
 	rhoCW, sigCW   uint64
 	rhoCCW, sigCCW uint64
+	err            error
 
+	cwPort     pulse.Port
 	state      node.State
 	termSent   bool // the unique-event pulse of line 15 has been sent
 	terminated bool
-	err        error
 }
 
 // NewAlg2 returns an Algorithm 2 machine for a node with the given positive
 // ID whose clockwise neighbor is reached through cwPort.
 func NewAlg2(id uint64, cwPort pulse.Port) (*Alg2, error) {
-	if id == 0 {
-		return nil, fmt.Errorf("core: ID must be positive")
-	}
-	if !cwPort.Valid() {
-		return nil, fmt.Errorf("core: invalid clockwise port %d", cwPort)
+	if err := checkOriented(id, cwPort); err != nil {
+		return nil, err
 	}
 	return &Alg2{id: id, cwPort: cwPort}, nil
 }
@@ -159,13 +157,10 @@ func (a *Alg2) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-// StateKey implements node.Cloneable.
-func (a *Alg2) StateKey() string {
-	return fmt.Sprintf("a2|%d|%d|%d|%d|%d|%d|%d|%t|%t",
-		a.id, a.cwPort, a.rhoCW, a.sigCW, a.rhoCCW, a.sigCCW, a.state, a.termSent, a.terminated)
-}
+// StateKey implements node.Cloneable: the AppendStateKey bytes.
+func (a *Alg2) StateKey() string { return string(a.AppendStateKey(nil)) }
 
-// AppendStateKey implements node.KeyAppender: the binary form of StateKey.
+// AppendStateKey implements node.KeyAppender.
 func (a *Alg2) AppendStateKey(dst []byte) []byte {
 	flags := byte(a.state)
 	if a.termSent {

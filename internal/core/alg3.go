@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"coleader/internal/node"
 	"coleader/internal/pulse"
@@ -38,12 +39,24 @@ func (s IDScheme) String() string {
 	}
 }
 
-// virtualIDs returns [ID^(0), ID^(1)] for the scheme.
+// virtualIDs returns [ID^(0), ID^(1)] for the scheme, or an error when
+// the ID is zero or ID^(1) would not fit in a uint64.
 func (s IDScheme) virtualIDs(id uint64) ([2]uint64, error) {
+	if id == 0 {
+		return [2]uint64{}, fmt.Errorf("core: ID must be positive")
+	}
 	switch s {
 	case SchemeDoubled:
+		if id > math.MaxUint64/2 {
+			return [2]uint64{}, fmt.Errorf("core: ID %d overflows the doubled scheme's virtual ID 2·ID (largest ID is %d)",
+				id, uint64(math.MaxUint64/2))
+		}
 		return [2]uint64{2*id - 1, 2 * id}, nil
 	case SchemeSuccessor:
+		if id == math.MaxUint64 {
+			return [2]uint64{}, fmt.Errorf("core: ID %d overflows the successor scheme's virtual ID ID+1 (largest ID is %d)",
+				id, uint64(math.MaxUint64-1))
+		}
 		return [2]uint64{id, id + 1}, nil
 	default:
 		return [2]uint64{}, fmt.Errorf("core: unknown ID scheme %d", s)
@@ -64,13 +77,15 @@ func (s IDScheme) virtualIDs(id uint64) ([2]uint64, error) {
 // every node.
 //
 // The algorithm reaches quiescence but never terminates.
+//
+// The one-byte fields sit last so a FlatAlg3 slot is 64 B.
 type Alg3 struct {
-	id     uint64
-	scheme IDScheme
-	vid    [2]uint64 // vid[i] governs forwarding out of port i
-	rho    [2]uint64 // pulses received per port
-	sig    [2]uint64 // pulses sent per port
+	id  uint64
+	vid [2]uint64 // vid[i] governs forwarding out of port i
+	rho [2]uint64 // pulses received per port
+	sig [2]uint64 // pulses sent per port
 
+	scheme   IDScheme
 	state    node.State
 	oriented bool
 	cwPort   pulse.Port
@@ -79,9 +94,6 @@ type Alg3 struct {
 // NewAlg3 returns an Algorithm 3 machine for a node with the given positive
 // ID under the given virtual-ID scheme.
 func NewAlg3(id uint64, scheme IDScheme) (*Alg3, error) {
-	if id == 0 {
-		return nil, fmt.Errorf("core: ID must be positive")
-	}
 	vid, err := scheme.virtualIDs(id)
 	if err != nil {
 		return nil, err
@@ -167,13 +179,10 @@ func (a *Alg3) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-// StateKey implements node.Cloneable.
-func (a *Alg3) StateKey() string {
-	return fmt.Sprintf("a3|%d|%d|%d|%d|%d|%d|%d|%t|%d",
-		a.id, a.scheme, a.rho[0], a.rho[1], a.sig[0], a.sig[1], a.state, a.oriented, a.cwPort)
-}
+// StateKey implements node.Cloneable: the AppendStateKey bytes.
+func (a *Alg3) StateKey() string { return string(a.AppendStateKey(nil)) }
 
-// AppendStateKey implements node.KeyAppender: the binary form of StateKey.
+// AppendStateKey implements node.KeyAppender.
 func (a *Alg3) AppendStateKey(dst []byte) []byte {
 	flags := byte(a.state)
 	if a.oriented {

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +237,69 @@ func TestAlg3VirtualIDs(t *testing.T) {
 		}
 		if got := [2]uint64{a.VirtualID(0), a.VirtualID(1)}; got != tc.want {
 			t.Errorf("%v id=%d: virtual IDs %v, want %v", tc.scheme, tc.id, got, tc.want)
+		}
+	}
+}
+
+// TestVirtualIDOverflowRejected checks every Algorithm 3 constructor at
+// the edges of the uint64 range: an ID whose larger virtual ID would wrap
+// (2·ID for doubled, ID+1 for successor) is an error, and the largest ID
+// that fits still builds with its exact virtual IDs.
+func TestVirtualIDOverflowRejected(t *testing.T) {
+	const maxID = ^uint64(0)
+	builders := []struct {
+		name  string
+		build func(id uint64, s core.IDScheme) ([2]uint64, error)
+	}{
+		{"NewAlg3", func(id uint64, s core.IDScheme) ([2]uint64, error) {
+			a, err := core.NewAlg3(id, s)
+			if err != nil {
+				return [2]uint64{}, err
+			}
+			return [2]uint64{a.VirtualID(0), a.VirtualID(1)}, nil
+		}},
+		{"Alg3Machines", func(id uint64, s core.IDScheme) ([2]uint64, error) {
+			ms, err := core.Alg3Machines(2, []uint64{1, id}, s)
+			if err != nil {
+				return [2]uint64{}, err
+			}
+			a := ms[1].(*core.Alg3)
+			return [2]uint64{a.VirtualID(0), a.VirtualID(1)}, nil
+		}},
+		{"NewFlatAlg3", func(id uint64, s core.IDScheme) ([2]uint64, error) {
+			_, err := core.NewFlatAlg3(2, []uint64{1, id}, s)
+			return [2]uint64{}, err
+		}},
+		{"NewAlg3Resample", func(id uint64, s core.IDScheme) ([2]uint64, error) {
+			_, err := core.NewAlg3Resample(id, s, 1)
+			return [2]uint64{}, err
+		}},
+	}
+	cases := []struct {
+		scheme core.IDScheme
+		id     uint64
+		want   [2]uint64 // zero when the ID must be rejected
+	}{
+		{core.SchemeDoubled, 1<<63 - 1, [2]uint64{maxID - 2, maxID - 1}},
+		{core.SchemeDoubled, 1 << 63, [2]uint64{}},
+		{core.SchemeDoubled, maxID, [2]uint64{}},
+		{core.SchemeSuccessor, maxID - 1, [2]uint64{maxID - 1, maxID}},
+		{core.SchemeSuccessor, maxID, [2]uint64{}},
+	}
+	for _, b := range builders {
+		name := b.name
+		for _, tc := range cases {
+			vid, err := b.build(tc.id, tc.scheme)
+			switch {
+			case tc.want == [2]uint64{} && err == nil:
+				t.Errorf("%s(%d, %v): nil error, want overflow", name, tc.id, tc.scheme)
+			case tc.want != [2]uint64{} && err != nil:
+				t.Errorf("%s(%d, %v): %v", name, tc.id, tc.scheme, err)
+			case err != nil && !strings.Contains(err.Error(), "overflows"):
+				t.Errorf("%s(%d, %v): error %q does not name the overflow", name, tc.id, tc.scheme, err)
+			case err == nil && vid != [2]uint64{} && vid != tc.want:
+				t.Errorf("%s(%d, %v): virtual IDs %v, want %v", name, tc.id, tc.scheme, vid, tc.want)
+			}
 		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"coleader/internal/pulse"
 )
 
-// Batch transitions: the node.BatchMachine / node.FlatBatchMachine
-// implementations for Algorithms 1-3 and their struct-of-arrays banks.
+// Batch transitions: the node.BatchMachine implementations for
+// Algorithms 1-3 (the banks in flat.go delegate to them).
 //
 // Every algorithm in this package is counter arithmetic with thresholds:
 // a pulse either relays (counter++ and one pulse out) or crosses a
@@ -140,97 +140,5 @@ func (a *Alg3) OnPulses(p pulse.Port, k uint64, e node.BatchEmitter) uint64 {
 	a.sig[opp] += m
 	e.SendRun(opp, m)
 	a.recomputeOutput()
-	return m
-}
-
-// OnPulses implements node.FlatBatchMachine; mirrors Alg1.OnPulses.
-func (b *FlatAlg1) OnPulses(k int, p pulse.Port, n uint64, e node.BatchEmitter) uint64 {
-	if p == b.cwPort[k] || b.rhoCW[k]+1 == b.ids[k] {
-		b.OnMsg(k, p, pulse.Pulse{}, e)
-		return 1
-	}
-	m := relayPrefix(b.rhoCW[k], b.ids[k], n)
-	b.rhoCW[k] += m
-	b.sigCW[k] += m
-	b.state[k] = node.StateNonLeader
-	e.SendRun(b.cwPort[k], m)
-	return m
-}
-
-// OnPulses implements node.FlatBatchMachine; mirrors Alg2.OnPulses.
-func (b *FlatAlg2) OnPulses(k int, p pulse.Port, n uint64, e node.BatchEmitter) uint64 {
-	if b.flags[k]&flatTerminated != 0 {
-		b.OnMsg(k, p, pulse.Pulse{}, e)
-		return 1
-	}
-	if p == b.cwPort[k].Opposite() { // clockwise pulses
-		if b.rhoCW[k]+1 == b.ids[k] || (b.rhoCW[k] >= b.ids[k] && b.sigCCW[k] == 0) {
-			b.OnMsg(k, p, pulse.Pulse{}, e)
-			return 1
-		}
-		m := relayPrefix(b.rhoCW[k], b.ids[k], n)
-		b.rhoCW[k] += m
-		b.sigCW[k] += m
-		b.state[k] = node.StateNonLeader
-		e.SendRun(b.cwPort[k], m)
-		return m
-	}
-	// Counterclockwise pulses.
-	if b.rhoCW[k] < b.ids[k] {
-		b.OnMsg(k, p, pulse.Pulse{}, e)
-		return 1
-	}
-	if b.flags[k]&flatTermSent != 0 {
-		m := n
-		if d := b.rhoCW[k] - b.rhoCCW[k] + 1; d < m {
-			m = d
-		}
-		b.rhoCCW[k] += m
-		if b.rhoCCW[k] > b.rhoCW[k] {
-			b.flags[k] |= flatTerminated
-		}
-		return m
-	}
-	m := n
-	if b.rhoCCW[k] < b.ids[k] {
-		if d := b.ids[k] - b.rhoCCW[k] - 1; d < m {
-			m = d
-		}
-	}
-	if d := b.rhoCW[k] - b.rhoCCW[k]; d < m {
-		m = d
-	}
-	if m == 0 || b.sigCCW[k] == 0 {
-		b.OnMsg(k, p, pulse.Pulse{}, e)
-		return 1
-	}
-	b.rhoCCW[k] += m
-	b.sigCCW[k] += m
-	e.SendRun(b.cwPort[k].Opposite(), m)
-	return m
-}
-
-// OnPulses implements node.FlatBatchMachine; mirrors Alg3.OnPulses.
-func (b *FlatAlg3) OnPulses(k int, p pulse.Port, n uint64, e node.BatchEmitter) uint64 {
-	var rp, vidOpp uint64
-	if p == pulse.Port0 {
-		rp, vidOpp = b.rho0[k], b.vid1[k]
-	} else {
-		rp, vidOpp = b.rho1[k], b.vid0[k]
-	}
-	if rp+1 == vidOpp {
-		b.OnMsg(k, p, pulse.Pulse{}, e)
-		return 1
-	}
-	m := relayPrefix(rp, vidOpp, n)
-	if p == pulse.Port0 {
-		b.rho0[k] += m
-		b.sig1[k] += m
-	} else {
-		b.rho1[k] += m
-		b.sig0[k] += m
-	}
-	e.SendRun(p.Opposite(), m)
-	b.recomputeOutput(k)
 	return m
 }

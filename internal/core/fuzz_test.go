@@ -1,16 +1,44 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"coleader/internal/core"
+	"coleader/internal/node"
 	"coleader/internal/ring"
 	"coleader/internal/sim"
 )
 
+// runBoth runs one election twice, on pointer machines through sim.New
+// and on a machine bank through sim.NewFlat, each under a fresh scheduler
+// from sched, and fails unless both runs end identically.
+func runBoth(t *testing.T, topo ring.Topology, ms []node.PulseMachine, bank node.FlatPulseMachine,
+	sched func() sim.Scheduler, limit uint64,
+) (sim.Result, error) {
+	t.Helper()
+	s, err := sim.New(topo, ms, sched())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, runErr := s.Run(limit)
+	fs, err := sim.NewFlat(topo, bank, sched())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatRes, flatErr := fs.Run(limit)
+	if fmt.Sprint(runErr) != fmt.Sprint(flatErr) || !reflect.DeepEqual(res, flatRes) {
+		t.Fatalf("flat bank diverges from pointer machines:\npointer %+v (err %v)\nflat    %+v (err %v)",
+			res, runErr, flatRes, flatErr)
+	}
+	return res, runErr
+}
+
 // FuzzAlg2Election fuzzes ring size, ID assignment, and schedule: every
-// input must satisfy Theorem 1 exactly. Run with `go test -fuzz
+// input must satisfy Theorem 1 exactly, and the FlatAlg2 bank must end
+// the same run identically. Run with `go test -fuzz
 // FuzzAlg2Election ./internal/core` for continuous exploration; the seed
 // corpus runs in normal test mode.
 func FuzzAlg2Election(f *testing.F) {
@@ -31,11 +59,8 @@ func FuzzAlg2Election(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		scheds := []sim.Scheduler{
-			sim.Canonical{}, sim.Newest{}, sim.NewRandom(seed), sim.NewRoundRobin(),
-			sim.NewLaggy(seed), sim.NewHashDelay(seed),
-		}
-		sched := scheds[int(schedRaw)%len(scheds)]
+		scheds := []string{"canonical", "newest", "random", "roundrobin", "flaky", "hashdelay"}
+		name := scheds[int(schedRaw)%len(scheds)]
 		topo, err := ring.Oriented(n)
 		if err != nil {
 			t.Fatal(err)
@@ -44,12 +69,12 @@ func FuzzAlg2Election(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := sim.New(topo, ms, sched)
+		bank, err := core.NewFlatAlg2(topo, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pred := core.PredictedAlg2Pulses(n, ring.MaxID(ids))
-		res, err := s.Run(4*pred + 1024)
+		res, err := runBoth(t, topo, ms, bank, func() sim.Scheduler { return sim.Stock(seed)[name] }, 4*pred+1024)
 		if err != nil {
 			t.Fatalf("ids=%v: %v", ids, err)
 		}
@@ -68,7 +93,8 @@ func FuzzAlg2Election(f *testing.F) {
 }
 
 // FuzzAlg3Election fuzzes port assignments as well: Theorem 2 must hold
-// bit for bit on every wiring.
+// bit for bit on every wiring, and the FlatAlg3 bank must end the same
+// run identically.
 func FuzzAlg3Election(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(0b101), false)
 	f.Add(int64(9), uint8(6), uint16(0b110011), true)
@@ -93,12 +119,12 @@ func FuzzAlg3Election(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := sim.New(topo, ms, sim.NewRandom(seed))
+		bank, err := core.NewFlatAlg3(n, ids, scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pred := core.PredictedAlg3Pulses(n, ring.MaxID(ids), scheme)
-		res, err := s.Run(4*pred + 1024)
+		res, err := runBoth(t, topo, ms, bank, func() sim.Scheduler { return sim.NewRandom(seed) }, 4*pred+1024)
 		if err != nil {
 			t.Fatalf("ids=%v flips=%v: %v", ids, flips, err)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"coleader/internal/node"
 	"coleader/internal/pulse"
 	"coleader/internal/xrand"
@@ -87,12 +85,10 @@ func (a *Alg3Resample) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-// StateKey implements node.Cloneable.
-func (a *Alg3Resample) StateKey() string {
-	return fmt.Sprintf("a3r|%s|%d|%d", a.inner.StateKey(), a.rng.State(), a.resamples)
-}
+// StateKey implements node.Cloneable: the AppendStateKey bytes.
+func (a *Alg3Resample) StateKey() string { return string(a.AppendStateKey(nil)) }
 
-// AppendStateKey implements node.KeyAppender: the binary form of StateKey.
+// AppendStateKey implements node.KeyAppender.
 func (a *Alg3Resample) AppendStateKey(dst []byte) []byte {
 	dst = append(dst, 'B', 'R')
 	dst = a.inner.AppendStateKey(dst)

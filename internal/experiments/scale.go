@@ -13,7 +13,7 @@ import (
 )
 
 // E15 measures Algorithm 1 at scale on the simulator's production
-// configuration: a flat struct-of-arrays bank, the pulse-run batch fast
+// configuration: a flat machine bank, the pulse-run batch fast
 // path, and the Heaviest scheduler.
 //
 // The sweep runs Algorithm 1 over geometric ID values (ID_max

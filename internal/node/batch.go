@@ -62,7 +62,7 @@ type BatchMachine interface {
 	OnPulses(p pulse.Port, k uint64, e BatchEmitter) uint64
 }
 
-// FlatBatchMachine is the struct-of-arrays twin of BatchMachine: a
+// FlatBatchMachine is the bank twin of BatchMachine: a
 // FlatPulseMachine bank whose slots can consume pulse runs. The
 // OnPulses contract is BatchMachine's, applied to slot k.
 type FlatBatchMachine interface {

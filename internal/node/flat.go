@@ -4,12 +4,11 @@ import (
 	"coleader/internal/pulse"
 )
 
-// FlatMachine is a bank of n machines whose state lives in per-field
-// slices (struct-of-arrays) instead of one heap object per node. It is
-// the opt-in layout for very large rings: a 10⁷-node bank is a handful
-// of flat slices with no per-node pointers, so it costs the garbage
-// collector nothing to scan and keeps each field family contiguous in
-// memory for the simulator's delivery loop.
+// FlatMachine is a bank of n machines addressed by slot instead of one
+// heap object per node. It is the opt-in layout for very large rings:
+// the banks in internal/core keep every node's machine record in one
+// contiguous slice, so a 10⁷-node bank is a single allocation rather
+// than 10⁷ small objects for the allocator and the garbage collector.
 //
 // Slot k of a bank obeys exactly the Machine contract — Init once,
 // OnMsg only while Ready(p), Status between handlers — and a bank must
@@ -32,7 +31,7 @@ type FlatMachine[M any] interface {
 }
 
 // FlatPulseMachine is a FlatMachine restricted to contentless pulses:
-// the type of the struct-of-arrays banks in internal/core.
+// the type of the machine banks in internal/core.
 type FlatPulseMachine = FlatMachine[pulse.Pulse]
 
 // Slot adapts one slot of a FlatMachine to the Machine interface, so
