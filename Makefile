@@ -124,15 +124,18 @@ modelcheck-smoke:
 # fault-smoke proves the fault plane's determinism contract end to end:
 # two ringsim runs with identical (seed, fault-seed, classes, budget) must
 # produce byte-identical output — same outcome, same injection log — and
-# the fault-bearing packages must be race-clean.
+# the fault-bearing packages must be race-clean. The live runtime and its
+# differential tests run ten times under the race detector: a lost wake-up
+# in the inbox protocol would surface only as an intermittent StallError.
 fault-smoke:
 	$(GO) run ./cmd/ringsim -algo alg1 -ids 4,9,2,7 -sched random -seed 3 \
 		-faults all -fault-seed 11 -fault-budget 4 > .fault-run-a.txt
 	$(GO) run ./cmd/ringsim -algo alg1 -ids 4,9,2,7 -sched random -seed 3 \
 		-faults all -fault-seed 11 -fault-budget 4 > .fault-run-b.txt
 	cmp .fault-run-a.txt .fault-run-b.txt
-	$(GO) test -race ./internal/fault/... ./internal/live/...
-	@echo "faulted replays byte-identical; fault and live packages race-clean"
+	$(GO) test -race ./internal/fault/...
+	$(GO) test -race -count=10 ./internal/live/ ./internal/differential/
+	@echo "faulted replays byte-identical; fault, live and differential packages race-clean"
 	@rm -f .fault-run-a.txt .fault-run-b.txt
 
 # fault-verify-smoke proves the fault-aware explorer's determinism

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -233,7 +234,41 @@ func buildRing(algo, idsFlag string, flips []bool) (ring.Topology, []node.PulseM
 	if err != nil {
 		return ring.Topology{}, nil, 0, err
 	}
+	if err := checkPrediction(algo, len(ids), ring.MaxID(ids), predicted); err != nil {
+		return ring.Topology{}, nil, 0, err
+	}
 	return topo, ms, predicted, nil
+}
+
+// predictionError reports a ring whose predicted pulse count does not fit
+// in a uint64 (the core formulas saturate at math.MaxUint64): no run of it
+// could finish, and no step limit derived from the prediction bounds one.
+type predictionError struct {
+	algo  string
+	n     int
+	idMax uint64
+}
+
+func (e *predictionError) Error() string {
+	return fmt.Sprintf("%s on n=%d nodes with ID_max=%d: the predicted pulse count overflows uint64",
+		e.algo, e.n, e.idMax)
+}
+
+// checkPrediction returns a *predictionError when predicted saturated.
+func checkPrediction(algo string, n int, idMax, predicted uint64) error {
+	if predicted == math.MaxUint64 {
+		return &predictionError{algo: algo, n: n, idMax: idMax}
+	}
+	return nil
+}
+
+// stepLimit is the simulator step budget 4·predicted + 1024, saturating at
+// math.MaxUint64 instead of wrapping.
+func stepLimit(predicted uint64) uint64 {
+	if predicted > (math.MaxUint64-1024)/4 {
+		return math.MaxUint64
+	}
+	return 4*predicted + 1024
 }
 
 // runFaulted executes one election under seeded fault injection and prints
@@ -309,7 +344,7 @@ func runFaulted(algo, idsFlag, flipsFlag, schedName string, seed int64,
 		if err != nil {
 			return err
 		}
-		res, err := s.Run(4*predicted + 1024)
+		res, err := s.Run(stepLimit(predicted))
 		sent, sentCW, sentCCW = res.Sent, res.SentCW, res.SentCCW
 		leader, quiescent, runErr = res.Leader, res.Quiescent, err
 	}
@@ -351,7 +386,7 @@ func runTraced(algo, idsFlag string, flips []bool, schedName string, seed int64,
 	if err != nil {
 		return err
 	}
-	res, err := s.Run(4*predicted + 1024)
+	res, err := s.Run(stepLimit(predicted))
 	if err != nil {
 		return err
 	}

@@ -91,6 +91,9 @@ func runScale(algo, idsFlag, idgen string, n int, c float64,
 	if err != nil {
 		return err
 	}
+	if err := checkPrediction(algo, n, idMax, predicted); err != nil {
+		return err
+	}
 
 	sched, ok := sim.Stock(seed)[schedName]
 	if !ok {
@@ -112,7 +115,7 @@ func runScale(algo, idsFlag, idgen string, n int, c float64,
 	fmt.Printf("sequential run: algo=%s n=%d idgen=%s id-max=%d sched=%s flat=%t batch=%t\n",
 		algo, n, describeIDs(idsFlag, idgen), idMax, schedName, flat, batch)
 	stop := watchWall()
-	res, runErr := s.Run(4*predicted + 1024)
+	res, runErr := s.Run(stepLimit(predicted))
 	stop()
 	transitions, multi := s.RunsCoalesced()
 	if runErr != nil {

@@ -211,7 +211,7 @@ func LowerBound(n int, idMax uint64) uint64 {
 }
 
 // PredictedPulses returns the paper's exact pulse count for Algorithm 2:
-// n(2·ID_max + 1).
+// n(2·ID_max + 1), saturating at math.MaxUint64 when it does not fit.
 func PredictedPulses(n int, idMax uint64) uint64 {
 	return core.PredictedAlg2Pulses(n, idMax)
 }

@@ -126,6 +126,20 @@ func TestElectNonOrientedRandomPorts(t *testing.T) {
 	}
 }
 
+// TestElectRejectsOverflowingPrediction: a ring whose predicted pulse
+// count overflows uint64 has no default step limit, so the simulator run
+// is refused up front rather than aborted by a wrapped limit.
+func TestElectRejectsOverflowingPrediction(t *testing.T) {
+	_, err := coleader.ElectNonOriented([]uint64{1 << 63, 1, 2})
+	if err == nil || !strings.Contains(err.Error(), "overflows") || !strings.Contains(err.Error(), "n=3") {
+		t.Errorf("ElectNonOriented(2^63, 1, 2) err = %v, want a prediction-overflow error naming n=3", err)
+	}
+	_, err = coleader.ElectOriented([]uint64{1<<63 - 1, 1, 2})
+	if err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("ElectOriented(2^63-1, 1, 2) err = %v, want a prediction-overflow error", err)
+	}
+}
+
 func TestElectAnonymous(t *testing.T) {
 	const n, c = 6, 1.5
 	wins, ran := 0, 0

@@ -40,7 +40,7 @@ import (
 // Loss removes a queued pulse and uncounts it from Sent (the simulator
 // never counts a lost pulse); Dup and Spurious add one and count it; Crash
 // freezes a node (its queued pulses become undeliverable, but its channels
-// keep accepting — the live conduit pump outlives the node); Restart
+// keep accepting — the live inbox counts outlive the node); Restart
 // rewinds a node to its pre-Init snapshot and re-runs Init (allowed on
 // crashed and terminated nodes, which models the live supervisor's
 // amnesia-restart healing); Corrupt XORs a plan mask into the final byte

@@ -23,9 +23,9 @@
 // Concurrency contract: the Plane itself holds no locks. Each counter is
 // owned by exactly one caller — in the simulator everything runs on the
 // event loop; on the live runtime each channel has a single sender (the
-// ring peer), a single pump, and each node a single goroutine — so OnSend,
-// OnDeliver, and OnHandler for a given entity are always invoked from one
-// goroutine. Log must only be called after the run has completed (for the
+// ring peer) and a single receiver (the receiving node's goroutine), and
+// each node a single goroutine — so OnSend, OnDeliver, and OnHandler for a
+// given entity are always invoked from one goroutine. Log must only be called after the run has completed (for the
 // live runtime: after Run returned, which orders all goroutine writes
 // before the read).
 //

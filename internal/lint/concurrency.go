@@ -14,11 +14,11 @@ package lint
 //     lexical exit (return, break, goto, panic). Such a loop spins until
 //     process exit and the goroutine can never be shut down.
 //   - conc-chan-direction: a struct field of channel type annotated
-//     `//oblint:chandir recv` (or `send`) records the conduit/emitter role
+//     `//oblint:chandir recv` (or `send`) records a producer/consumer role
 //     convention: outside the declaring type's methods, the field may only
 //     be received from (resp. sent to). The declaring type owns the other
 //     side, so a wrong-direction use is a role violation — typically a
-//     second sender racing the pump or a stolen receive starving it.
+//     second sender racing the owner or a stolen receive starving it.
 //   - conc-lock-order: two mutexes must be acquired in one consistent
 //     order everywhere in the package. Acquisition pairs are collected per
 //     function with calls followed — including devirtualized ones — while

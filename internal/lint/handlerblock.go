@@ -3,7 +3,7 @@ package lint
 // handler-block: the runtimes are event-driven — internal/sim invokes a
 // machine's Init/OnMsg inline on the simulation loop, and internal/live
 // invokes them on the node's own goroutine, which is also the goroutine
-// that consumes the node's conduits. A handler that blocks (a channel
+// that drains the node's inbox. A handler that blocks (a channel
 // operation, a mutex acquisition, a WaitGroup wait) therefore stalls the
 // very loop that would unblock it: in sim it freezes the whole run, in
 // live it deadlocks the node. The model's asynchrony lives in the network,
@@ -36,8 +36,8 @@ package lint
 // One interface is deliberately opaque: Config.EmitterType, the model's
 // emit primitive. Each runtime's emitter implementation is that runtime's
 // own handler-safety obligation — sim's emitter enqueues inline, live's
-// hands the pulse to a conduit whose dedicated pump goroutine (never the
-// node's own loop) is the consumer — so devirtualizing through it would
+// bumps the receiver's atomic queue count and posts its wake token with a
+// non-blocking select — so devirtualizing through it would
 // attribute one runtime's internals to every machine's handlers. The
 // emitter implementations stay checked in their own right wherever they
 // are reachable from a handler root by a concrete path.

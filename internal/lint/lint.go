@@ -64,7 +64,7 @@ var checkDocs = map[string]string{
 	CheckStateKey:         "every field a machine's handlers write must enter AppendStateKey/StateKey (an omitted field merges distinct states in the memo table)",
 	CheckStateSkew:        "Restore may only write fields SnapshotTo encodes (layout skew between the two desynchronizes snapshot and restore)",
 	CheckConcLeak:         "a spawned goroutine must not busy-loop forever: every unconditional loop in its body needs a channel gate (select/receive/range) or a lexical exit (return/break/goto/panic)",
-	CheckConcChanDir:      "a channel field annotated //oblint:chandir recv|send may only be used in that direction outside the declaring type's methods (the conduit/emitter role convention)",
+	CheckConcChanDir:      "a channel field annotated //oblint:chandir recv|send may only be used in that direction outside the declaring type's methods (the producer/consumer role convention)",
 	CheckConcLockOrder:    "two mutexes must be acquired in one consistent order everywhere in a package (an inversion, found over the devirtualized call graph, can deadlock)",
 }
 

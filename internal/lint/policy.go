@@ -95,7 +95,7 @@ func DefaultConfig() Config {
 		// Packages with real shared-memory concurrency: the live runtime,
 		// the parallel exhaustive explorer, and the fault plane (the
 		// ring-wide delivery ordinal behind window triggers is read and
-		// advanced from sender/pump/node goroutines in live).
+		// advanced from every node goroutine in live).
 		AtomicPkgs: []string{i("live"), i("check"), i("fault")},
 
 		// Machines whose Init/OnMsg handlers run inline on the event loops

@@ -1,12 +1,16 @@
 // Package live executes pulse machines on a runtime made of real
-// concurrency: one goroutine per ring node, connected by unbounded FIFO
-// conduits. The Go scheduler supplies the asynchrony — message delays
-// become goroutine scheduling delays, unbounded but finite, exactly the
-// adversary of Section 2 — so this runtime complements the deterministic
-// simulator (internal/sim) with genuinely nondeterministic executions.
+// concurrency: one goroutine per ring node, each draining its own inbox.
+// The Go scheduler supplies the asynchrony — message delays become
+// goroutine scheduling delays, unbounded but finite, exactly the adversary
+// of Section 2 — so this runtime complements the deterministic simulator
+// (internal/sim) with genuinely nondeterministic executions.
 //
-// Content-obliviousness is physical here: the conduits carry struct{}
-// values, so there is no content to consult even by accident.
+// Content-obliviousness is physical here: a pulse carries no content, so
+// a FIFO of pulses is exactly its length, and each incoming channel is an
+// atomic counter of queued pulses. There is no content to consult even by
+// accident. A send adds to the receiver's counter and posts a token on the
+// receiver's wake channel without ever blocking; the receiver re-reads
+// both counters after every wake, so no send is missed.
 //
 // Quiescence detection uses a single conservation counter: every send
 // increments it and every fully processed delivery decrements it after the
@@ -23,26 +27,27 @@
 // nodes, their queue occupancy, and the in-flight count, instead of a bare
 // timeout.
 //
-// WithFaultPlane steps deliberately outside the model: conduits then drop,
-// duplicate, and inject pulses, and nodes crash, restart, or corrupt on
-// the plane's seeded schedule. Fault accounting preserves the conservation
-// argument — drops are decided before the counter increment, injections
-// are counted before their pulse is offered, and a restart's sends happen
-// inside the handler window — so zero remains a stable witness even on
-// faulted runs.
+// WithFaultPlane steps deliberately outside the model: sends are dropped
+// or duplicated, deliveries inject spurious pulses, and nodes crash,
+// restart, or corrupt on the plane's seeded schedule. Fault accounting
+// preserves the conservation argument — drops are decided before the
+// counter increment, injections are counted before their pulse is queued,
+// and a restart's sends happen inside the handler window — so zero remains
+// a stable witness even on faulted runs.
 //
 // WithSupervisor closes the loop a crash opens. Without it a crashed node
 // is gone for good: its goroutine exits, its queued pulses strand, and the
 // run ends in a StallReport. With it, the dying goroutine hands its node to
 // a supervisor goroutine, which restores the machine (per RestorePolicy),
-// re-spawns the consume loop on the same conduits (the pumps never died),
-// and thereby re-enters the quiescence protocol: the revived node's queued
-// pulses are still in the conservation ledger, so zero — and hence
-// quiescence — becomes reachable again. Under RestoreCheckpoint the
-// machine resumes from its exact crash-time state, so a healed run sends
-// exactly as many pulses as a clean one; under RestoreInit the node comes
-// back amnesiac (init snapshot plus a fresh Init), modeling a fail-stop
-// restart that the quiescently stabilizing algorithms must absorb.
+// re-spawns the consume loop on the same inbox (whose counters kept
+// accepting sends), and thereby re-enters the quiescence protocol: the
+// revived node's queued pulses are still in the conservation ledger, so
+// zero — and hence quiescence — becomes reachable again. Under
+// RestoreCheckpoint the machine resumes from its exact crash-time state,
+// so a healed run sends exactly as many pulses as a clean one; under
+// RestoreInit the node comes back amnesiac (init snapshot plus a fresh
+// Init), modeling a fail-stop restart that the quiescently stabilizing
+// algorithms must absorb.
 package live
 
 import (
@@ -243,19 +248,21 @@ func WithSupervisor(p RestorePolicy) Option {
 	return func(c *config) { c.supervise = true; c.policy = p }
 }
 
-// WithChaos makes every conduit inject pseudo-random scheduling jitter
+// WithChaos makes every node inject pseudo-random scheduling jitter
 // (bursts of runtime.Gosched and occasional microsecond sleeps) before
-// each delivery, seeded per channel from seed. This widens the set of
+// each delivery, and pick pseudo-randomly between its ports when both
+// have pulses waiting, seeded per node from seed. This widens the set of
 // interleavings the Go scheduler realizes — a cheap approximation of the
 // adversarial delays the model allows, on real concurrency.
 func WithChaos(seed int64) Option { return func(c *config) { c.chaos = uint64(seed) | 1 } }
 
 // WithFaultPlane attaches a fault plane: sends consult it for loss and
-// duplication, conduit pumps for spurious injection, and node goroutines
-// for crash/restart/corruption after each handler. The plane's trigger
-// counters are per-entity and each entity is driven by exactly one
-// goroutine here (one sender, one pump, one node loop), matching the
-// plane's lock-free ownership contract. Faulted runs routinely end in a
+// duplication, and the receiving node's goroutine for spurious injection
+// on each delivery it takes and for crash/restart/corruption after each
+// handler. The plane's trigger counters are per-entity and each entity is
+// driven by exactly one goroutine here (a channel's sender for its sends,
+// its receiving node for its deliveries), matching the plane's lock-free
+// ownership contract. Faulted runs routinely end in a
 // *StallError — a crashed node strands its queue — which is then the
 // expected outcome, not a failure of the runtime.
 func WithFaultPlane(p *fault.Plane) Option { return func(c *config) { c.plane = p } }
@@ -282,7 +289,7 @@ func Run(topo ring.Topology, machines []node.PulseMachine, opts ...Option) (Resu
 		machines:  machines,
 		stop:      make(chan struct{}),
 		quiesce:   make(chan struct{}, 1),
-		conduits:  make([]*conduit, 2*n),
+		inboxes:   make([]inbox, n),
 		plane:     cfg.plane,
 		supervise: cfg.supervise && cfg.plane != nil,
 		policy:    cfg.policy,
@@ -299,30 +306,11 @@ func Run(topo ring.Topology, machines []node.PulseMachine, opts ...Option) (Resu
 		}
 	}
 
-	// One conduit per directed channel, keyed by receiving endpoint.
-	for k := 0; k < n; k++ {
-		for _, p := range []pulse.Port{pulse.Port0, pulse.Port1} {
-			c := 2*k + int(p)
-			var jitter uint64
-			if cfg.chaos != 0 {
-				jitter = cfg.chaos*0x9e3779b97f4a7c15 + uint64(c)
-			}
-			cd := newConduit(jitter)
-			if r.plane != nil {
-				ch := c
-				dir := topo.ArrivalDirection(k, p)
-				// The pump consults the plane once per delivery; an
-				// injected pulse is counted in flight before it is ever
-				// offered, keeping zero a stable quiescence witness.
-				cd.preDeliver = func() int {
-					if r.plane.OnDeliver(0, ch) == fault.Spurious {
-						r.count(dir)
-						return 1
-					}
-					return 0
-				}
-			}
-			r.conduits[c] = cd
+	for k := range r.inboxes {
+		in := &r.inboxes[k]
+		in.wake = make(chan struct{}, 1)
+		if cfg.chaos != 0 {
+			in.jitter = cfg.chaos*0x9e3779b97f4a7c15 + uint64(k)
 		}
 	}
 
@@ -356,9 +344,6 @@ monitor:
 		}
 	}
 	close(r.stop)
-	for _, c := range r.conduits {
-		c.close()
-	}
 	r.wg.Wait()
 
 	res := r.collect()
@@ -371,7 +356,7 @@ monitor:
 type netRuntime struct {
 	topo      ring.Topology
 	machines  []node.PulseMachine
-	conduits  []*conduit
+	inboxes   []inbox // by receiving node
 	stop      chan struct{}
 	quiesce   chan struct{} // buffered(1): edge signal that zero was reached
 	wg        sync.WaitGroup
@@ -431,22 +416,90 @@ func (r *netRuntime) count(dir pulse.Direction) {
 	}
 }
 
-// emitter routes a node's sends into the appropriate conduits, maintaining
+// inbox is node k's receiving end of its two incoming channels. A pulse
+// carries no content, so a FIFO of pulses is exactly its length: q[p]
+// counts the pulses queued on port p. A sender adds to the count before it
+// posts a token on wake, and the node re-reads both counts after every
+// wake, so a send landing after the node last looked always finds a token
+// waiting. Only the node decrements its counts.
+type inbox struct {
+	q    [2]atomic.Int64
+	wake chan struct{} // buffered(1): a count may have risen
+
+	// Owned by the goroutine driving the node, like the machine.
+	jitter uint64 // 0 = no chaos; otherwise the node's xorshift state
+	flip   bool   // which port goes first when both are deliverable
+}
+
+// pick returns the port node k takes its next delivery from, or false
+// when neither port is deliverable. A port is deliverable when the machine
+// polls it and its count is positive; an unpolled port keeps its count,
+// which realizes the model's "the node does not poll this queue". When
+// both are deliverable the ports alternate, or under chaos the node's
+// jitter draw chooses.
+func (in *inbox) pick(m node.PulseMachine) (pulse.Port, bool) {
+	d0 := m.Ready(pulse.Port0) && in.q[0].Load() > 0
+	d1 := m.Ready(pulse.Port1) && in.q[1].Load() > 0
+	if !d0 && !d1 {
+		return 0, false
+	}
+	x := in.shake()
+	switch {
+	case !d0:
+		return pulse.Port1, true
+	case !d1:
+		return pulse.Port0, true
+	case in.jitter != 0:
+		return pulse.Port(x >> 4 & 1), true
+	}
+	in.flip = !in.flip
+	if in.flip {
+		return pulse.Port0, true
+	}
+	return pulse.Port1, true
+}
+
+// shake advances the chaos state and injects the pseudo-random scheduling
+// jitter it draws before a delivery; it returns the draw (0 without
+// chaos).
+func (in *inbox) shake() uint64 {
+	if in.jitter == 0 {
+		return 0
+	}
+	// xorshift64 step.
+	x := in.jitter
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	in.jitter = x
+	switch x % 16 {
+	case 0:
+		time.Sleep(time.Duration(x%5) * time.Microsecond)
+	case 1, 2, 3:
+		for i := uint64(0); i < x%8; i++ {
+			runtime.Gosched()
+		}
+	}
+	return x
+}
+
+// emitter routes a node's sends into the receivers' inboxes, maintaining
 // the conservation counter.
 type emitter struct {
 	r    *netRuntime
 	from int
 }
 
-// Send implements node.Emitter. With a fault plane, loss is decided before
-// the pulse is counted (a dropped pulse never enters the conservation
-// ledger) and duplication places two counted pulses.
+// Send implements node.Emitter and never blocks. With a fault plane, loss
+// is decided before the pulse is counted (a dropped pulse never enters the
+// conservation ledger) and duplication queues two counted pulses. Each
+// pulse is counted in flight before it is queued, and queued before the
+// receiver is woken.
 func (e emitter) Send(p pulse.Port, m pulse.Pulse) {
 	to := e.r.topo.Peer(e.from, p)
-	c := 2*to.Node + int(to.Port)
 	copies := 1
 	if e.r.plane != nil {
-		switch e.r.plane.OnSend(0, c) {
+		switch e.r.plane.OnSend(0, 2*to.Node+int(to.Port)) {
 		case fault.Loss:
 			return
 		case fault.Dup:
@@ -454,16 +507,21 @@ func (e emitter) Send(p pulse.Port, m pulse.Pulse) {
 		}
 	}
 	dir := e.r.topo.DirectionOf(e.from, p)
+	in := &e.r.inboxes[to.Node]
 	for i := 0; i < copies; i++ {
 		e.r.count(dir)
-		e.r.conduits[c].push()
+		in.q[to.Port].Add(1)
+	}
+	select {
+	case in.wake <- struct{}{}:
+	default: // a token is already waiting
 	}
 }
 
 // applyNodeFault consults the plane after node k's handler invocation and
 // applies the outcome. It returns false when the node crashed (the caller
 // must stop consuming); restart and corruption keep the node running.
-func (r *netRuntime) applyNodeFault(k int, m node.PulseMachine, em emitter) bool {
+func (r *netRuntime) applyNodeFault(k int, m node.PulseMachine, em node.PulseEmitter) bool {
 	if r.plane == nil {
 		return true
 	}
@@ -493,7 +551,7 @@ func (r *netRuntime) applyNodeFault(k int, m node.PulseMachine, em emitter) bool
 func (r *netRuntime) nodeLoop(k int) {
 	defer r.wg.Done()
 	m := r.machines[k]
-	em := emitter{r: r, from: k}
+	var em node.PulseEmitter = emitter{r: r, from: k} // boxed once per incarnation
 
 	m.Init(em)
 	alive := r.applyNodeFault(k, m, em)
@@ -508,9 +566,10 @@ func (r *netRuntime) nodeLoop(k int) {
 
 // consume runs node k's delivery loop until termination, shutdown, or a
 // fault-plane crash (which it hands to the supervisor when one exists).
-func (r *netRuntime) consume(k int, m node.PulseMachine, em emitter) {
-	in0 := r.conduits[2*k+0]
-	in1 := r.conduits[2*k+1]
+// The only blocking operation is the wait for a wake token when nothing is
+// deliverable; handlers and their sends never block.
+func (r *netRuntime) consume(k int, m node.PulseMachine, em node.PulseEmitter) {
+	in := &r.inboxes[k]
 	for {
 		st := m.Status()
 		if st.Terminated || st.Err != nil {
@@ -521,44 +580,36 @@ func (r *netRuntime) consume(k int, m node.PulseMachine, em emitter) {
 			}
 			return
 		}
-		// Gate each port by Ready: a nil channel is never selected, which
-		// realizes the model's "the node does not poll this queue".
-		var c0, c1 <-chan pulse.Pulse
-		if m.Ready(pulse.Port0) {
-			c0 = in0.out
-		}
-		if m.Ready(pulse.Port1) {
-			c1 = in1.out
+		p, ok := in.pick(m)
+		if !ok {
+			select {
+			case <-r.stop:
+				return
+			case <-in.wake:
+			}
+			continue
 		}
 		select {
 		case <-r.stop:
 			return
-		case _, ok := <-c0:
-			if !ok {
-				return
-			}
-			m.OnMsg(pulse.Port0, pulse.Pulse{}, em)
-			alive := r.applyNodeFault(k, m, em)
-			r.delivered.Add(1)
-			r.inflight.Add(-1)
-			r.noteQuiet()
-			if !alive {
-				r.offerHeal(k)
-				return
-			}
-		case _, ok := <-c1:
-			if !ok {
-				return
-			}
-			m.OnMsg(pulse.Port1, pulse.Pulse{}, em)
-			alive := r.applyNodeFault(k, m, em)
-			r.delivered.Add(1)
-			r.inflight.Add(-1)
-			r.noteQuiet()
-			if !alive {
-				r.offerHeal(k)
-				return
-			}
+		default:
+		}
+		in.q[p].Add(-1)
+		// One plane consult per delivery taken; an injected pulse is
+		// counted in flight before it is queued, keeping zero a stable
+		// quiescence witness.
+		if r.plane != nil && r.plane.OnDeliver(0, 2*k+int(p)) == fault.Spurious {
+			r.count(r.topo.ArrivalDirection(k, p))
+			in.q[p].Add(1)
+		}
+		m.OnMsg(p, pulse.Pulse{}, em)
+		alive := r.applyNodeFault(k, m, em)
+		r.delivered.Add(1)
+		r.inflight.Add(-1)
+		r.noteQuiet()
+		if !alive {
+			r.offerHeal(k)
+			return
 		}
 	}
 }
@@ -593,15 +644,15 @@ func (r *netRuntime) superviseLoop() {
 }
 
 // heal revives crashed node k per the restore policy and re-spawns its
-// consume loop on the same conduits (whose pumps never stopped, so the
-// node's queued pulses — still counted in flight — are waiting for it).
+// consume loop on the same inbox (whose counts kept accepting sends, so
+// the node's queued pulses — still counted in flight — are waiting for it).
 // The revived node re-enters the quiescence protocol immediately: once it
 // drains its queue the conservation counter can reach zero again. Owns
 // the inherited WaitGroup slot and either passes it to the new goroutine
 // or releases it on an unhealable crash.
 func (r *netRuntime) heal(k int) {
 	m := r.machines[k]
-	em := emitter{r: r, from: k}
+	var em node.PulseEmitter = emitter{r: r, from: k}
 	if r.policy == RestoreInit {
 		u, ok := m.(node.Undoable)
 		if !ok || r.initSnaps[k] == nil {
@@ -680,8 +731,8 @@ func (r *netRuntime) stallReport() StallReport {
 		Unstarted: int(r.initsLeft.Load()),
 	}
 	for k := 0; k < r.topo.N(); k++ {
-		q0 := r.conduits[2*k+0].queued()
-		q1 := r.conduits[2*k+1].queued()
+		q0 := int(r.inboxes[k].q[0].Load())
+		q1 := int(r.inboxes[k].q[1].Load())
 		crashed := r.crashed != nil && r.crashed[k]
 		if q0 == 0 && q1 == 0 && !crashed {
 			continue
@@ -694,101 +745,4 @@ func (r *netRuntime) stallReport() StallReport {
 		})
 	}
 	return rep
-}
-
-// conduit is an unbounded FIFO pulse channel. Pulses carry no content, so
-// the backlog is a counter; a tiny pump goroutine offers pulses on out
-// whenever the backlog is positive. push never blocks. pushed/taken shadow
-// the backlog in atomics so the watchdog can read queue occupancy.
-type conduit struct {
-	in  chan pulse.Pulse //oblint:chandir send
-	out chan pulse.Pulse //oblint:chandir recv
-
-	done   chan struct{}
-	once   sync.Once
-	jitter uint64 // 0 = no chaos; otherwise the channel's jitter state
-
-	// preDeliver, when set, is consulted exactly once per offered pulse
-	// and returns extra (injected) pulses to add to the backlog.
-	preDeliver func() int
-
-	pushed atomic.Int64
-	taken  atomic.Int64
-}
-
-func newConduit(jitter uint64) *conduit {
-	c := &conduit{
-		in:     make(chan pulse.Pulse, 1),
-		out:    make(chan pulse.Pulse),
-		done:   make(chan struct{}),
-		jitter: jitter,
-	}
-	go c.pump()
-	return c
-}
-
-func (c *conduit) push() {
-	c.pushed.Add(1)
-	select {
-	case c.in <- pulse.Pulse{}:
-	case <-c.done:
-	}
-}
-
-func (c *conduit) close() { c.once.Do(func() { close(c.done) }) }
-
-// queued returns the undelivered pulse count (approximate while the pump
-// is running; exact once it has stopped).
-func (c *conduit) queued() int { return int(c.pushed.Load() - c.taken.Load()) }
-
-// shake injects pseudo-random scheduling jitter before a delivery.
-func (c *conduit) shake() {
-	if c.jitter == 0 {
-		return
-	}
-	// xorshift64 step.
-	x := c.jitter
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	c.jitter = x
-	switch x % 16 {
-	case 0:
-		time.Sleep(time.Duration(x%5) * time.Microsecond)
-	case 1, 2, 3:
-		for i := uint64(0); i < x%8; i++ {
-			runtime.Gosched()
-		}
-	}
-}
-
-func (c *conduit) pump() {
-	backlog := 0
-	counted := false // plane consulted for the pulse currently on offer
-	for {
-		var out chan<- pulse.Pulse
-		if backlog > 0 {
-			if !counted {
-				counted = true
-				if c.preDeliver != nil {
-					if extra := c.preDeliver(); extra > 0 {
-						backlog += extra
-						c.pushed.Add(int64(extra))
-					}
-				}
-			}
-			c.shake()
-			out = c.out
-		}
-		select {
-		case <-c.done:
-			return
-		case <-c.in:
-			backlog++
-		case out <- pulse.Pulse{}:
-			backlog--
-			counted = false
-			c.taken.Add(1)
-		}
-	}
 }

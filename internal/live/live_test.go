@@ -123,8 +123,8 @@ func TestLiveAlg3NonOriented(t *testing.T) {
 	}
 }
 
-// TestLiveSelfRing: the one-node ring works with the node's conduits
-// looping back to itself.
+// TestLiveSelfRing: the one-node ring works with the node's sends
+// looping back into its own inbox.
 func TestLiveSelfRing(t *testing.T) {
 	topo, err := ring.Oriented(1)
 	if err != nil {

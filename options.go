@@ -2,6 +2,7 @@ package coleader
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -155,6 +156,15 @@ func (c config) scheduler() (sim.Scheduler, error) {
 	}
 }
 
+// stepLimit is the default step budget 4·predicted + 1024, saturating at
+// math.MaxUint64 instead of wrapping.
+func stepLimit(predicted uint64) uint64 {
+	if predicted > (math.MaxUint64-1024)/4 {
+		return math.MaxUint64
+	}
+	return 4*predicted + 1024
+}
+
 // run executes machines on the configured runtime and collects the result.
 func (c config) run(topo ring.Topology, ms []node.PulseMachine, ids []uint64,
 	predicted uint64, obs []sim.Observer[pulse.Pulse]) (Result, error) {
@@ -180,7 +190,11 @@ func (c config) run(topo ring.Topology, ms []node.PulseMachine, ids []uint64,
 	}
 	limit := c.limit
 	if limit == 0 {
-		limit = 4*predicted + 1024
+		if predicted == math.MaxUint64 {
+			return Result{}, fmt.Errorf("coleader: the predicted pulse count on n=%d nodes with ID_max=%d overflows uint64, so no default step limit bounds the run (set WithStepLimit)",
+				topo.N(), ring.MaxID(ids))
+		}
+		limit = stepLimit(predicted)
 	}
 	res, err := s.Run(limit)
 	out := collect(topo.N(), ids, res.Statuses, res.TerminationOrder,
