@@ -29,7 +29,6 @@ lint:
 		statesnap:state-snapshot \
 		staterestore:state-restore \
 		staterestore:state-skew \
-		statekey:state-key \
 		xblock:handler-block \
 		dynblock:handler-block \
 		concleak:conc-goroutine-leak \
@@ -111,14 +110,17 @@ bench:
 # modelcheck-smoke proves the parallel explorer's determinism contract on
 # a real instance: the -json reports of a sequential and a 4-worker run
 # must be byte-for-byte identical (counters, verdict, witness — nothing
-# may depend on worker count). An audited run certifies the fingerprint
-# memo collision-free on the same instance.
+# may depend on worker count). Audited runs certify the fingerprint memo
+# collision-free on one instance of every CLI machine type (each
+# machine's memo key is its snapshot, so each type keys differently).
 modelcheck-smoke:
 	$(GO) run ./cmd/modelcheck -algo alg2 -ids 5,1,4,2 -json -workers 1 > .modelcheck-w1.json
 	$(GO) run ./cmd/modelcheck -algo alg2 -ids 5,1,4,2 -json -workers 4 > .modelcheck-w4.json
 	cmp .modelcheck-w1.json .modelcheck-w4.json
 	$(GO) run ./cmd/modelcheck -algo alg2 -ids 5,1,4,2 -audit-collisions >/dev/null
-	@echo "modelcheck reports identical at workers=1 and workers=4; audit clean"
+	$(GO) run ./cmd/modelcheck -algo alg1 -ids 4,1,3,2 -audit-collisions >/dev/null
+	$(GO) run ./cmd/modelcheck -algo alg3 -ids 3,1,2 -flips 0,1,0 -audit-collisions >/dev/null
+	@echo "modelcheck reports identical at workers=1 and workers=4; audits clean (alg1, alg2, alg3)"
 	@rm -f .modelcheck-w1.json .modelcheck-w4.json
 
 # fault-smoke proves the fault plane's determinism contract end to end:

@@ -29,6 +29,11 @@
 // run against a -workers=4 run. This holds for fault-aware runs too, even
 // ones that abort on the state budget (the parallel engine falls back to
 // the canonical sequential rerun on any failure).
+//
+// Malformed input — a bad flag value, an ID the algorithm rejects, a
+// -flips list whose length differs from -ids — is reported on stderr as
+// an input error, never as a VIOLATION; VIOLATION is reserved for
+// explorations that found a failing schedule and attach it as a witness.
 package main
 
 import (
@@ -36,6 +41,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -49,11 +55,21 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errNotVerified):
+		os.Exit(1)
+	default:
 		fmt.Fprintln(os.Stderr, "modelcheck:", err)
 		os.Exit(1)
 	}
 }
+
+// errNotVerified is run's result for an exploration that completed its
+// report on stdout but did not verify the instance: a violation, a stall,
+// or an exhausted budget. Every other error is an input error.
+var errNotVerified = errors.New("instance not verified")
 
 // jsonReport is the -json output. Deliberately excludes anything
 // execution-dependent (worker count, timing): the same instance must
@@ -87,24 +103,33 @@ type jsonFaults struct {
 	StalledTerminals  int    `json:"stalledTerminals"`
 }
 
-func run() error {
-	algo := flag.String("algo", "alg2", "algorithm: alg1 | alg2 | alg3 | alg2-unguarded")
-	idsFlag := flag.String("ids", "", "comma-separated node IDs")
-	flipsFlag := flag.String("flips", "", "comma-separated 0/1 port flips (alg3)")
-	exploreInits := flag.Bool("explore-inits", false, "also branch over node wake-up interleavings")
-	maxStates := flag.Int("max-states", 1<<22, "state budget (must be positive)")
-	workers := flag.Int("workers", 1, "parallel exploration workers")
-	fingerprintMemo := flag.Bool("fingerprint", true, "memoize 64-bit state fingerprints instead of full keys")
-	auditCollisions := flag.Bool("audit-collisions", false, "keep full keys alongside fingerprints and fail on any collision")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable report on stdout")
-	faultsFlag := flag.String("faults", "", "fault classes to branch over (loss,dup,spurious,crash,restart,corrupt or all); empty disables fault-aware exploration")
-	faultBudget := flag.Int("fault-budget", 1, "max injections per explored path (with -faults)")
-	faultWindow := flag.Uint64("fault-window", 0, "restrict injections to each entity's first N events (0 = unbounded)")
-	faultMasks := flag.String("fault-masks", "", "comma-separated corrupt XOR masks (default: the eight single-bit masks)")
-	flag.Parse()
+// run parses args, explores the instance, and writes the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("modelcheck", flag.ContinueOnError)
+	algo := fs.String("algo", "alg2", "algorithm: alg1 | alg2 | alg3 | alg2-unguarded")
+	idsFlag := fs.String("ids", "", "comma-separated node IDs")
+	flipsFlag := fs.String("flips", "", "comma-separated 0/1 port flips (alg3)")
+	exploreInits := fs.Bool("explore-inits", false, "also branch over node wake-up interleavings")
+	maxStates := fs.Int("max-states", 1<<22, "state budget (must be positive)")
+	workers := fs.Int("workers", 1, "parallel exploration workers (must be positive)")
+	fingerprintMemo := fs.Bool("fingerprint", true, "memoize 64-bit state fingerprints instead of full keys")
+	auditCollisions := fs.Bool("audit-collisions", false, "keep full keys alongside fingerprints and fail on any collision")
+	jsonOut := fs.Bool("json", false, "emit a machine-readable report on stdout")
+	faultsFlag := fs.String("faults", "", "fault classes to branch over (loss,dup,spurious,crash,restart,corrupt or all); empty disables fault-aware exploration")
+	faultBudget := fs.Int("fault-budget", 1, "max injections per explored path (with -faults; must not be negative)")
+	faultWindow := fs.Uint64("fault-window", 0, "restrict injections to each entity's first N events (0 = unbounded)")
+	faultMasks := fs.String("fault-masks", "", "comma-separated corrupt XOR masks (default: the eight single-bit masks)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	if *maxStates <= 0 {
+	switch {
+	case *maxStates <= 0:
 		return fmt.Errorf("-max-states must be positive, got %d", *maxStates)
+	case *workers < 1:
+		return fmt.Errorf("-workers must be positive, got %d", *workers)
+	case *faultBudget < 0:
+		return fmt.Errorf("-fault-budget must not be negative, got %d", *faultBudget)
 	}
 
 	var plan fault.Plan
@@ -129,27 +154,30 @@ func run() error {
 		// pulse-adding classes); unless the user pinned -max-states, use
 		// the fault-mode default budget rather than the faultless one.
 		explicitMax := false
-		flag.Visit(func(f *flag.Flag) { explicitMax = explicitMax || f.Name == "max-states" })
+		fs.Visit(func(f *flag.Flag) { explicitMax = explicitMax || f.Name == "max-states" })
 		if !explicitMax {
 			*maxStates = 0 // let check.ExhaustiveFaults pick its fault-mode default
 		}
 	}
 
-	ids, err := parseIDs(*idsFlag)
+	ids, err := ring.ParseIDs(*idsFlag)
 	if err != nil {
-		return err
+		return fmt.Errorf("-ids (e.g. -ids 3,1,2): %w", err)
 	}
 	var topo ring.Topology
 	if *flipsFlag != "" {
-		var flips []bool
-		for _, f := range strings.Split(*flipsFlag, ",") {
-			flips = append(flips, strings.TrimSpace(f) == "1")
+		flips, err := ring.ParseFlips(*flipsFlag)
+		if err != nil {
+			return fmt.Errorf("-flips: %w", err)
+		}
+		if len(flips) != len(ids) {
+			return fmt.Errorf("-flips lists %d nodes but -ids lists %d", len(flips), len(ids))
 		}
 		topo, err = ring.NonOriented(flips)
-	} else {
-		topo, err = ring.Oriented(len(ids))
-	}
-	if err != nil {
+		if err != nil {
+			return err
+		}
+	} else if topo, err = ring.Oriented(len(ids)); err != nil {
 		return err
 	}
 
@@ -241,6 +269,10 @@ func run() error {
 	} else {
 		rep, err = check.Exhaustive(cfg)
 	}
+	if _, explored := check.Witness(err); err != nil && !explored {
+		// No schedule led here: the configuration itself was rejected.
+		return err
+	}
 
 	if *jsonOut {
 		out := jsonReport{
@@ -278,73 +310,78 @@ func run() error {
 				}
 			}
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if jerr := enc.Encode(out); jerr != nil {
 			return jerr
 		}
 		if err != nil {
-			os.Exit(1)
+			return errNotVerified
 		}
 		return nil
 	}
 
 	if err == nil {
 		if plan.Active() {
-			fmt.Printf("OK: every schedule and every injection point verified.\n")
+			fmt.Fprintf(w, "OK: every schedule and every injection point verified.\n")
 		} else {
-			fmt.Printf("OK: every schedule verified.\n")
+			fmt.Fprintf(w, "OK: every schedule verified.\n")
 		}
-		fmt.Printf("states explored:  %d\n", rep.StatesVisited)
-		fmt.Printf("terminal states:  %d\n", rep.TerminalStates)
-		fmt.Printf("max depth:        %d events\n", rep.MaxDepth)
+		fmt.Fprintf(w, "states explored:  %d\n", rep.StatesVisited)
+		fmt.Fprintf(w, "terminal states:  %d\n", rep.TerminalStates)
+		fmt.Fprintf(w, "max depth:        %d events\n", rep.MaxDepth)
 		if plan.Active() {
-			printFaultCensus(frep)
+			printFaultCensus(w, frep)
 		}
 		if rep.TerminalStates == 1 {
-			fmt.Println("the instance is confluent: one terminal state across all schedules.")
+			fmt.Fprintln(w, "the instance is confluent: one terminal state across all schedules.")
 		}
 		return nil
 	}
 
-	if errors.Is(err, check.ErrStateBudget) {
-		fmt.Printf("state budget exhausted after %d states visited.\n", rep.StatesVisited)
+	if errors.Is(err, check.ErrDepthBound) {
+		fmt.Fprintf(w, "exploration stopped after %d states visited: %v\n", rep.StatesVisited, err)
 		if plan.Active() {
-			printFaultCensus(frep)
-			fmt.Println("the faulted space may be infinite (dup, spurious, and restart add pulses);")
-			fmt.Println("the census above covers the canonical bounded prefix. Raise -max-states to widen it.")
-		} else {
-			fmt.Printf("the instance is larger than -max-states allows; raise the flag to keep going.\n")
+			printFaultCensus(w, frep)
 		}
-		os.Exit(1)
+		fmt.Fprintln(w, "some schedule is deeper than the explorer's recursion bound; -max-states cannot widen it.")
+		return errNotVerified
+	}
+	if errors.Is(err, check.ErrStateBudget) {
+		fmt.Fprintf(w, "state budget exhausted after %d states visited.\n", rep.StatesVisited)
+		if plan.Active() {
+			printFaultCensus(w, frep)
+			fmt.Fprintln(w, "the faulted space may be infinite (dup, spurious, and restart add pulses);")
+			fmt.Fprintln(w, "the census above covers the canonical bounded prefix. Raise -max-states to widen it.")
+		} else {
+			fmt.Fprintf(w, "the instance is larger than -max-states allows; raise the flag to keep going.\n")
+		}
+		return errNotVerified
 	}
 
-	fmt.Printf("VIOLATION: %v\n\n", err)
-	steps, ok := check.Witness(err)
-	if !ok {
-		return fmt.Errorf("no witness attached")
-	}
-	fmt.Printf("witness schedule (%d steps):\n", len(steps))
+	fmt.Fprintf(w, "VIOLATION: %v\n\n", err)
+	steps, _ := check.Witness(err)
+	fmt.Fprintf(w, "witness schedule (%d steps):\n", len(steps))
 	for i, st := range steps {
-		fmt.Printf("  %3d. %s\n", i+1, st)
+		fmt.Fprintf(w, "  %3d. %s\n", i+1, st)
 	}
 	for _, st := range steps {
 		if st.Fault != 0 {
 			// The simulator replays scheduler steps only; a faulted witness
 			// documents the failing injection but cannot be re-executed.
-			fmt.Println("\nwitness contains fault injections; replay is not available.")
-			os.Exit(1)
+			fmt.Fprintln(w, "\nwitness contains fault injections; replay is not available.")
+			return errNotVerified
 		}
 	}
-	fmt.Println("\nreplaying the witness with a trace attached:")
+	fmt.Fprintln(w, "\nreplaying the witness with a trace attached:")
 	rec := &trace.Recorder{}
 	res, rerr := check.Replay(cfg, steps, rec)
-	fmt.Print(rec.String())
+	fmt.Fprint(w, rec.String())
 	switch {
 	case rerr != nil:
 		// A step-level violation (machine fault, quiescent-termination
 		// breach) fired during the replay itself.
-		fmt.Printf("replay reproduced the violation: %v\n", rerr)
+		fmt.Fprintf(w, "replay reproduced the violation: %v\n", rerr)
 	default:
 		// The witness leads to a bad TERMINAL state; re-evaluate the
 		// verdict on the replayed outcome.
@@ -355,34 +392,18 @@ func run() error {
 			Quiescent: res.Quiescent,
 		}
 		if cerr := cfg.Check(final); cerr != nil {
-			fmt.Printf("replay reproduced the terminal-state violation: %v\n", cerr)
+			fmt.Fprintf(w, "replay reproduced the terminal-state violation: %v\n", cerr)
 		} else {
-			fmt.Println("replay did not reproduce the violation (nondeterministic machine?)")
+			fmt.Fprintln(w, "replay did not reproduce the violation (nondeterministic machine?)")
 		}
 	}
-	os.Exit(1)
-	return nil
+	return errNotVerified
 }
 
 // printFaultCensus renders the fault-aware counters of a report.
-func printFaultCensus(frep check.FaultReport) {
-	fmt.Printf("injection edges:  %d\n", frep.InjectionEdges)
-	fmt.Printf("violation edges:  %d (faulted paths that tripped a step invariant)\n", frep.ViolationEdges)
-	fmt.Printf("faulted terminals: %d clean / %d degraded / %d stalled\n",
+func printFaultCensus(w io.Writer, frep check.FaultReport) {
+	fmt.Fprintf(w, "injection edges:  %d\n", frep.InjectionEdges)
+	fmt.Fprintf(w, "violation edges:  %d (faulted paths that tripped a step invariant)\n", frep.ViolationEdges)
+	fmt.Fprintf(w, "faulted terminals: %d clean / %d degraded / %d stalled\n",
 		frep.CleanTerminals, frep.DegradedTerminals, frep.StalledTerminals)
-}
-
-func parseIDs(s string) ([]uint64, error) {
-	if s == "" {
-		return nil, fmt.Errorf("need -ids (e.g. -ids 3,1,2)")
-	}
-	var ids []uint64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ID %q: %w", part, err)
-		}
-		ids = append(ids, v)
-	}
-	return ids, nil
 }

@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"coleader"
 	"coleader/internal/core"
@@ -73,6 +71,14 @@ func run() error {
 		return runScale(*algo, *idsFlag, *idgen, *n, *c, *sched, *seed, *flat, *batch)
 	}
 
+	var flips []bool
+	if *flipsFlag != "" {
+		var err error
+		if flips, err = ring.ParseFlips(*flipsFlag); err != nil {
+			return fmt.Errorf("-flips: %w", err)
+		}
+	}
+
 	if *faults != "" {
 		if *doTrace || *diagram {
 			return fmt.Errorf("-faults does not combine with -trace/-diagram")
@@ -93,7 +99,7 @@ func run() error {
 		if *heal != "" && !*liveRun {
 			return fmt.Errorf("-heal requires -live (the simulator has no goroutines to supervise)")
 		}
-		return runFaulted(*algo, *idsFlag, *flipsFlag, *sched, *seed,
+		return runFaulted(*algo, *idsFlag, flips, *sched, *seed,
 			*faults, fseed, *faultBudget, trig, *liveRun, *heal)
 	}
 	if *heal != "" {
@@ -108,11 +114,7 @@ func run() error {
 		opts = append(opts, coleader.WithLiveRuntime())
 	}
 
-	var flips []bool
-	if *flipsFlag != "" {
-		for _, f := range strings.Split(*flipsFlag, ",") {
-			flips = append(flips, strings.TrimSpace(f) == "1")
-		}
+	if flips != nil {
 		opts = append(opts, coleader.WithPortFlips(flips...))
 	}
 
@@ -158,17 +160,11 @@ func run() error {
 	return nil
 }
 
+// parseIDs parses the -ids flag, which the ID-based algorithms require.
 func parseIDs(s string) ([]uint64, error) {
-	if s == "" {
-		return nil, fmt.Errorf("this algorithm needs -ids (e.g. -ids 4,9,2,7)")
-	}
-	var ids []uint64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ID %q: %w", part, err)
-		}
-		ids = append(ids, v)
+	ids, err := ring.ParseIDs(s)
+	if err != nil {
+		return nil, fmt.Errorf("-ids (e.g. -ids 4,9,2,7): %w", err)
 	}
 	return ids, nil
 }
@@ -277,18 +273,12 @@ func stepLimit(predicted uint64) uint64 {
 // the experiment's result, not a CLI failure, so it is reported inline and
 // the command still exits 0. Simulator runs are fully deterministic in
 // (-seed, -fault-seed, -faults, -fault-budget); -live runs are not.
-func runFaulted(algo, idsFlag, flipsFlag, schedName string, seed int64,
+func runFaulted(algo, idsFlag string, flips []bool, schedName string, seed int64,
 	faultSpec string, faultSeed int64, budget int, trig fault.TriggerMode,
 	liveRun bool, heal string) error {
 	classes, err := fault.ParseSet(faultSpec)
 	if err != nil {
 		return err
-	}
-	var flips []bool
-	if flipsFlag != "" {
-		for _, f := range strings.Split(flipsFlag, ",") {
-			flips = append(flips, strings.TrimSpace(f) == "1")
-		}
 	}
 	topo, ms, predicted, err := buildRing(algo, idsFlag, flips)
 	if err != nil {

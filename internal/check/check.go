@@ -6,19 +6,22 @@
 // model of Section 2, turning claims like "Theorem 1 holds under every
 // schedule" into machine-checked facts for small instances.
 //
-// The state space is pruned by memoizing canonical states (each machine's
-// node.Cloneable.StateKey plus per-channel queue depths and init bits),
-// which keeps the exploration polynomial in ID_max for the paper's
-// algorithms even though the raw schedule tree is exponential.
+// Every machine must be node.Cloneable and node.Undoable, and its
+// SnapshotTo bytes are its memo key: a content-oblivious node's state is a
+// few counters and flags, its construction constants are fixed per node
+// index, and the memo salts each machine's key by that index. The state
+// space is pruned by memoizing canonical states (each machine's snapshot
+// plus per-channel queue depths and init bits), which keeps the
+// exploration polynomial in ID_max for the paper's algorithms even though
+// the raw schedule tree is exponential.
 //
 // Three engine-level optimizations make larger instances tractable:
 //
 //   - Undo-based DFS (the default): instead of deep-copying the machine
 //     slice per branch, the explorer snapshots the one machine a step
-//     mutates (node.Undoable) into a shared arena, applies the step in
-//     place, and reverts on backtrack via an undo log of queue, init-bit,
-//     and sent-counter deltas. Machines that do not implement Undoable
-//     fall back to a per-step CloneMachine copy.
+//     mutates into a shared arena, applies the step in place, and reverts
+//     on backtrack via an undo log of queue, init-bit, and sent-counter
+//     deltas.
 //   - A fingerprint memo table (MemoFingerprint): 64-bit state
 //     fingerprints in an open-addressing table replace the
 //     map[string]struct{} of full keys, eliminating the per-state string
@@ -86,9 +89,8 @@ type Config struct {
 	Topo ring.Topology
 
 	// NewMachines returns fresh machines for the exploration's root state.
-	// Every machine must implement node.Cloneable; machines that also
-	// implement node.Undoable restore through compact snapshots instead of
-	// per-branch deep copies.
+	// Every machine must implement node.Cloneable and node.Undoable; its
+	// snapshot is both its undo record and its memo key.
 	NewMachines func() ([]node.PulseMachine, error)
 
 	// ExploreInits also branches over node wake-up interleavings. When
@@ -150,15 +152,45 @@ var (
 	// the same 64-bit fingerprint (a MemoFingerprint run would have
 	// silently merged them).
 	ErrFingerprintCollision = errors.New("check: state-key fingerprint collision")
+
+	// ErrDepthBound: a schedule grew deeper than the explorer's recursion
+	// bound (maxDepth). It wraps ErrStateBudget: the exploration stopped
+	// short of its frontier, and more states would not help.
+	ErrDepthBound = fmt.Errorf("%w (schedule depth bound)", ErrStateBudget)
+
+	// ErrNotExplorable: NewMachines returned a machine that is not both
+	// node.Cloneable and node.Undoable.
+	ErrNotExplorable = errors.New("check: machine cannot be explored")
 )
 
-// appendStateKey encodes st as a compact binary string into b: per-machine
-// fixed-width binary keys (node.KeyAppender when implemented,
-// length-prefixed StateKey text otherwise), fixed-width queue depths, and
-// packed init bits.
+// maxDepth bounds the schedule depth of every explored state. Each DFS
+// engine recurses once per step, so depth is goroutine stack depth; the
+// bound keeps a deep instance (a long single-path election, or a
+// divergent fault space) returning ErrDepthBound with its witness instead
+// of overflowing the stack. Every engine applies the same bound, so
+// reports stay identical at any Workers width.
+const maxDepth = 1 << 20
+
+// depthError is the witness-carrying error for a state at depth beyond
+// maxDepth.
+func depthError(depth int, steps []Step) error {
+	return wrapWitness(fmt.Errorf("%w: depth %d exceeds %d", ErrDepthBound, depth, maxDepth), steps)
+}
+
+// machine is what the explorer requires of every node: a deep copy for
+// handing a subtree to another worker (and for the clone engine), and one
+// snapshot encoding for undo, fault injection and the memo key.
+type machine interface {
+	node.Cloneable[pulse.Pulse]
+	node.Undoable
+}
+
+// appendStateKey encodes st as a compact binary string into b: each
+// machine's snapshot (self-delimiting per the node.Undoable contract),
+// fixed-width queue depths, and packed init bits.
 func appendStateKey(b []byte, st *state) []byte {
 	for _, m := range st.ms {
-		b = appendMachineKey(b, m)
+		b = m.SnapshotTo(b)
 	}
 	for _, q := range st.queues {
 		b = node.AppendKey32(b, q)
@@ -204,10 +236,9 @@ func exhaustive(cfg Config) (FaultReport, error) {
 	}
 	if cfg.MaxStates == 0 {
 		// Fault plans can make the state space infinite (e.g. a duplicated
-		// pulse under Algorithm 1 circulates forever), and exploration
-		// recursion depth is bounded only by MaxStates on such instances —
-		// the lower fault-mode default keeps a divergent run returning
-		// ErrStateBudget instead of exhausting the stack.
+		// pulse under Algorithm 1 circulates forever, one ever-deeper
+		// path); the lower fault-mode default stops such a census on its
+		// state budget before the depth bound.
 		if cfg.plan.Active() {
 			cfg.MaxStates = 1 << 20
 		} else {
@@ -265,23 +296,22 @@ func buildRoot(cfg Config) (*state, []Step, error) {
 		return nil, nil, fmt.Errorf("check: %d machines for %d nodes", len(ms), n)
 	}
 	st := &state{
-		ms:     make([]node.Cloneable[pulse.Pulse], n),
+		ms:     make([]machine, n),
 		queues: make([]uint32, 2*n),
 		inited: make([]bool, n),
 	}
 	for k, m := range ms {
-		c, ok := m.(node.Cloneable[pulse.Pulse])
+		if _, ok := m.(node.Cloneable[pulse.Pulse]); !ok {
+			return nil, nil, fmt.Errorf("%w: machine %d does not implement node.Cloneable", ErrNotExplorable, k)
+		}
+		c, ok := m.(machine)
 		if !ok {
-			return nil, nil, fmt.Errorf("check: machine %d does not implement node.Cloneable", k)
+			return nil, nil, fmt.Errorf("%w: machine %d does not implement node.Undoable", ErrNotExplorable, k)
 		}
 		st.ms[k] = c
 	}
 	if cfg.plan.Active() {
-		fx, err := newFaultX(cfg.plan, st.ms)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.fx = fx
+		st.fx = newFaultX(cfg.plan, st.ms)
 	}
 	var steps []Step
 	if !cfg.ExploreInits {
@@ -307,7 +337,7 @@ func wrapWitness(err error, steps []Step) error {
 // depths (pulses are indistinguishable, so depths suffice). fx is the
 // fault plane of an ExhaustiveFaults run; nil otherwise.
 type state struct {
-	ms     []node.Cloneable[pulse.Pulse]
+	ms     []machine
 	queues []uint32 // channel id = 2*node + port
 	inited []bool
 	sent   uint64
@@ -316,14 +346,14 @@ type state struct {
 
 func (st *state) clone() *state {
 	cp := &state{
-		ms:     make([]node.Cloneable[pulse.Pulse], len(st.ms)),
+		ms:     make([]machine, len(st.ms)),
 		queues: append([]uint32(nil), st.queues...),
 		inited: append([]bool(nil), st.inited...),
 		sent:   st.sent,
 		fx:     st.fx.clone(),
 	}
 	for i, m := range st.ms {
-		cp.ms[i] = m.CloneMachine().(node.Cloneable[pulse.Pulse])
+		cp.ms[i] = m.CloneMachine().(machine)
 	}
 	return cp
 }
@@ -469,6 +499,9 @@ func (ex *cloneExplorer) dfs(st *state, depth int) error {
 	}
 	if ex.rep.StatesVisited >= ex.cfg.MaxStates {
 		return wrapWitness(fmt.Errorf("%w (%d)", ErrStateBudget, ex.cfg.MaxStates), ex.steps)
+	}
+	if depth > maxDepth {
+		return depthError(depth, ex.steps)
 	}
 	ex.rep.StatesVisited++
 	if depth > ex.rep.MaxDepth {

@@ -3,10 +3,12 @@ package check_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"coleader/internal/check"
 	"coleader/internal/core"
+	"coleader/internal/fault"
 	"coleader/internal/node"
 	"coleader/internal/pulse"
 	"coleader/internal/ring"
@@ -300,8 +302,17 @@ func (q *eagerQuitter) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-func (q *eagerQuitter) StateKey() string {
-	return fmt.Sprintf("eq|%t|%d", q.terminated, q.got)
+func (q *eagerQuitter) SnapshotTo(buf []byte) []byte {
+	buf = node.AppendKey64(buf, uint64(q.got))
+	if q.terminated {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+func (q *eagerQuitter) Restore(snap []byte) {
+	q.got = int(node.Key64(snap))
+	q.terminated = snap[8] != 0
 }
 
 // TestExhaustiveValidation covers config validation paths.
@@ -313,15 +324,29 @@ func TestExhaustiveValidation(t *testing.T) {
 	if _, err := check.Exhaustive(check.Config{Topo: topo}); err == nil {
 		t.Error("nil NewMachines accepted")
 	}
-	// Non-cloneable machines are rejected.
-	cfg := check.Config{
-		Topo: topo,
-		NewMachines: func() ([]node.PulseMachine, error) {
-			return []node.PulseMachine{plainMachine{}}, nil
-		},
-	}
-	if _, err := check.Exhaustive(cfg); err == nil {
-		t.Error("non-cloneable machine accepted")
+	// A machine must be both Cloneable and Undoable; either gap is a
+	// structured error naming the machine's index, from both entry points.
+	topo2, _ := ring.Oriented(2)
+	for _, tc := range []struct {
+		name, want string
+		m          node.PulseMachine
+	}{
+		{"non-cloneable", "machine 1 does not implement node.Cloneable", plainMachine{}},
+		{"non-undoable", "machine 1 does not implement node.Undoable", &cloneOnly{}},
+	} {
+		cfg := check.Config{
+			Topo: topo2,
+			NewMachines: func() ([]node.PulseMachine, error) {
+				return []node.PulseMachine{&eagerQuitter{}, tc.m}, nil
+			},
+		}
+		_, err := check.Exhaustive(cfg)
+		_, ferr := check.ExhaustiveFaults(cfg, fault.Plan{Classes: fault.NewSet(fault.Loss), Budget: 1})
+		for _, e := range []error{err, ferr} {
+			if !errors.Is(e, check.ErrNotExplorable) || !strings.Contains(fmt.Sprint(e), tc.want) {
+				t.Errorf("%s: err = %v, want ErrNotExplorable naming %q", tc.name, e, tc.want)
+			}
+		}
 	}
 }
 
@@ -331,6 +356,12 @@ func (plainMachine) Init(node.PulseEmitter)                           {}
 func (plainMachine) OnMsg(pulse.Port, pulse.Pulse, node.PulseEmitter) {}
 func (plainMachine) Ready(pulse.Port) bool                            { return true }
 func (plainMachine) Status() node.Status                              { return node.Status{} }
+
+// cloneOnly is Cloneable but has no snapshot: the explorer can neither
+// undo its steps nor key its state.
+type cloneOnly struct{ plainMachine }
+
+func (c *cloneOnly) CloneMachine() node.PulseMachine { return &cloneOnly{} }
 
 // TestStateBudget: a tiny budget trips ErrStateBudget.
 func TestStateBudget(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"coleader/internal/fault"
 	"coleader/internal/node"
-	"coleader/internal/pulse"
 	"coleader/internal/ring"
 )
 
@@ -89,7 +88,6 @@ type FaultReport struct {
 // normalizes to inactive (zero budget or no classes) degenerates to
 // Exhaustive: same states, same report, same verdict.
 //
-// Restart and Corrupt require every machine to implement node.Undoable.
 // When cfg.ExploreInits is false the upfront init prefix is applied before
 // exploration starts, so injection positions inside that prefix are not
 // branched over; set ExploreInits to cover init-time faults.
@@ -104,9 +102,6 @@ func ExhaustiveFaults(cfg Config, plan fault.Plan) (FaultReport, error) {
 	if p.Budget > maxPlanBudget {
 		return FaultReport{}, fmt.Errorf("check: plan budget %d exceeds %d", p.Budget, maxPlanBudget)
 	}
-	if cfg.MaxStates > maxFaultStates {
-		return FaultReport{}, fmt.Errorf("check: fault-mode MaxStates %d exceeds %d (divergent fault spaces bound recursion depth by MaxStates)", cfg.MaxStates, maxFaultStates)
-	}
 	if 2*cfg.Topo.N() > faultTargetMask {
 		return FaultReport{}, fmt.Errorf("check: fault exploration supports at most %d nodes", faultTargetMask/2)
 	}
@@ -117,13 +112,6 @@ func ExhaustiveFaults(cfg Config, plan fault.Plan) (FaultReport, error) {
 // maxPlanBudget bounds the per-path injection count so the log length fits
 // one key byte.
 const maxPlanBudget = 255
-
-// maxFaultStates caps fault-mode MaxStates. On a divergent instance (Dup
-// or Spurious under Algorithm 1: n+1 pulses against n absorption slots,
-// so one circulates forever) the DFS walks a single unbounded path, and
-// recursion depth grows with StatesVisited — the cap keeps such runs
-// returning ErrStateBudget instead of exhausting the goroutine stack.
-const maxFaultStates = 1 << 21
 
 // Choice-arena encoding of a fault branch: bit 24 flags the entry, bits
 // 20-23 carry the class, 12-19 the corrupt mask, 0-11 the target (node for
@@ -190,21 +178,17 @@ type faultX struct {
 
 // newFaultX builds the root fault plane. plan must be normalized and
 // active.
-func newFaultX(plan fault.Plan, ms []node.Cloneable[pulse.Pulse]) (*faultX, error) {
+func newFaultX(plan fault.Plan, ms []machine) *faultX {
 	n := len(ms)
 	fx := &faultX{
 		plan:     plan,
 		windowed: plan.Window > 0,
 		crashed:  make([]bool, n),
 	}
-	if plan.Classes.Has(fault.Restart) || plan.Classes.Has(fault.Corrupt) {
+	if plan.Classes.Has(fault.Restart) {
 		fx.initSnaps = make([][]byte, n)
 		for k, m := range ms {
-			u, ok := m.(node.Undoable)
-			if !ok {
-				return nil, fmt.Errorf("check: fault classes restart/corrupt require node.Undoable (machine %d is not)", k)
-			}
-			fx.initSnaps[k] = u.SnapshotTo(nil)
+			fx.initSnaps[k] = m.SnapshotTo(nil)
 		}
 	}
 	if fx.windowed {
@@ -212,7 +196,7 @@ func newFaultX(plan fault.Plan, ms []node.Cloneable[pulse.Pulse]) (*faultX, erro
 		fx.sendCnt = make([]uint32, 2*n)
 		fx.delivCnt = make([]uint32, 2*n)
 	}
-	return fx, nil
+	return fx
 }
 
 // clone deep-copies the mutable plane; plan and initSnaps are shared.
@@ -380,7 +364,7 @@ func (st *state) applyFault(topo ring.Topology, s Step) error {
 	case fault.Restart:
 		k := s.Init
 		fx.crashed[k] = false
-		st.ms[k].(node.Undoable).Restore(fx.initSnaps[k])
+		st.ms[k].Restore(fx.initSnaps[k])
 		if fx.windowed {
 			fx.handlerCnt[k]++
 		}
@@ -392,11 +376,10 @@ func (st *state) applyFault(topo ring.Topology, s Step) error {
 		return st.afterHandler(k)
 	case fault.Corrupt:
 		k := s.Init
-		u := st.ms[k].(node.Undoable)
-		snap := u.SnapshotTo(nil)
+		snap := st.ms[k].SnapshotTo(nil)
 		if len(snap) > 0 {
 			snap[len(snap)-1] ^= s.Mask
-			u.Restore(snap)
+			st.ms[k].Restore(snap)
 		}
 		return st.afterHandler(k)
 	}
@@ -447,15 +430,15 @@ func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 		k := s.Init
 		fr.mach = int32(k)
 		fr.wasCrashed = fx.crashed[k]
-		u := st.ms[k].(node.Undoable)
-		sp.snapArena = u.SnapshotTo(sp.snapArena)
+		m := st.ms[k]
+		sp.snapArena = m.SnapshotTo(sp.snapArena)
 		fx.crashed[k] = false
-		u.Restore(fx.initSnaps[k])
+		m.Restore(fx.initSnaps[k])
 		if fx.windowed {
 			fx.handlerCnt[k]++
 		}
 		sp.col = collector{topo: sp.topo, st: st, from: k, log: &sp.sendArena}
-		st.ms[k].Init(&sp.col)
+		m.Init(&sp.col)
 		sp.retally(k, fr.sendOff)
 		if sp.col.err != nil {
 			return fr, sp.col.err
@@ -464,12 +447,12 @@ func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 	case fault.Corrupt:
 		k := s.Init
 		fr.mach = int32(k)
-		u := st.ms[k].(node.Undoable)
-		sp.snapArena = u.SnapshotTo(sp.snapArena)
+		m := st.ms[k]
+		sp.snapArena = m.SnapshotTo(sp.snapArena)
 		if snap := sp.snapArena[fr.snapOff:]; len(snap) > 0 {
 			sp.faultScratch = append(sp.faultScratch[:0], snap...)
 			sp.faultScratch[len(sp.faultScratch)-1] ^= s.Mask
-			u.Restore(sp.faultScratch)
+			m.Restore(sp.faultScratch)
 		}
 		sp.retally(k, fr.sendOff)
 		return fr, st.afterHandler(k)
@@ -505,10 +488,10 @@ func (sp *stepper) revertFault(fr undoFrame) {
 		if fx.windowed {
 			fx.handlerCnt[k]--
 		}
-		st.ms[k].(node.Undoable).Restore(sp.snapArena[fr.snapOff:])
+		st.ms[k].Restore(sp.snapArena[fr.snapOff:])
 		sp.snapArena = sp.snapArena[:fr.snapOff]
 	case fault.Corrupt:
-		st.ms[int(fr.mach)].(node.Undoable).Restore(sp.snapArena[fr.snapOff:])
+		st.ms[fr.mach].Restore(sp.snapArena[fr.snapOff:])
 		sp.snapArena = sp.snapArena[:fr.snapOff]
 	}
 }

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"fmt"
 	"testing"
 
 	"coleader/internal/core"
@@ -12,10 +11,9 @@ import (
 )
 
 // relay forwards every pulse it receives until it has forwarded limit of
-// them, then swallows the rest; node 0 starts the circulation. It has no
-// binary key, so the memo hashes its length-prefixed StateKey, and it is
-// not node.Undoable, so the stepper reverts it by swapping the pre-step
-// clone back in.
+// them, then swallows the rest; node 0 starts the circulation. A minimal
+// machine outside internal/core: its snapshot, and so its memo key, is
+// its forward count alone.
 type relay struct {
 	start      bool
 	fwd, limit uint64
@@ -40,28 +38,13 @@ func (r *relay) CloneMachine() node.PulseMachine {
 	cp := *r
 	return &cp
 }
-func (r *relay) StateKey() string { return fmt.Sprintf("relay|%t|%d|%d", r.start, r.fwd, r.limit) }
+func (r *relay) SnapshotTo(buf []byte) []byte { return node.AppendKey64(buf, r.fwd) }
+func (r *relay) Restore(snap []byte)          { r.fwd = node.Key64(snap) }
 
-// undoRelay is relay made node.Undoable: a StateKey-only machine on the
-// snapshot-restore path.
-type undoRelay struct{ relay }
-
-func (u *undoRelay) CloneMachine() node.PulseMachine {
-	cp := *u
-	return &cp
-}
-func (u *undoRelay) SnapshotTo(buf []byte) []byte { return node.AppendKey64(buf, u.fwd) }
-func (u *undoRelay) Restore(snap []byte)          { u.fwd = node.Key64(snap) }
-
-func relayMachines(n int, undoable bool) []node.PulseMachine {
+func relayMachines(n int) []node.PulseMachine {
 	ms := make([]node.PulseMachine, n)
 	for k := range ms {
-		r := relay{start: k == 0, limit: 2}
-		if undoable {
-			ms[k] = &undoRelay{r}
-		} else {
-			ms[k] = &r
-		}
+		ms[k] = &relay{start: k == 0, limit: 2}
 	}
 	return ms
 }
@@ -97,10 +80,8 @@ func fpCases() []fpCase {
 			machines: func(ring.Topology) ([]node.PulseMachine, error) {
 				return core.Alg3ResampleMachines(3, []uint64{2, 6, 2}, core.SchemeSuccessor, 12345)
 			}},
-		{name: "statekey-only", topo: oriented(3), exploreInits: true,
-			machines: func(ring.Topology) ([]node.PulseMachine, error) { return relayMachines(3, true), nil }},
-		{name: "not-undoable", topo: oriented(3), exploreInits: true,
-			machines: func(ring.Topology) ([]node.PulseMachine, error) { return relayMachines(3, false), nil }},
+		{name: "relay", topo: oriented(3), exploreInits: true,
+			machines: func(ring.Topology) ([]node.PulseMachine, error) { return relayMachines(3), nil }},
 	}
 	classes := []fault.Class{fault.Loss, fault.Dup, fault.Spurious, fault.Crash, fault.Restart, fault.Corrupt}
 	for _, cl := range classes {

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"coleader/internal/node"
-	"coleader/internal/pulse"
 )
 
 // MemoMode selects the visited-set representation of an exploration.
@@ -57,7 +56,7 @@ func (m MemoMode) String() string {
 	}
 }
 
-// fingerprint hashes a binary key — one machine's, or the fault
+// fingerprint hashes a byte string — one machine's snapshot, or the fault
 // section's (see Component hashing below) — 8 bytes at a time: each 64-bit
 // word is xored into the running hash and scrambled through the SplitMix64
 // finalizer (a bijection, so no word-level information is discarded), with
@@ -94,7 +93,7 @@ func mix64(z uint64) uint64 {
 // Component hashing (Zobrist style). A state's fingerprint is mix64 of
 // the sum, mod 2⁶⁴, of
 //
-//   - one term per machine k: mix64(fingerprint(machine key) + k·machineSalt),
+//   - one term per machine k: mix64(fingerprint(snapshot) + k·machineSalt),
 //   - q_c·chanWeight(c) per channel c holding q_c pulses,
 //   - initWeight(k) per set init bit,
 //   - and, in fault mode, fingerprint of the fault section's bytes
@@ -112,9 +111,11 @@ const (
 	initSalt    = 0x8cb92ba72f3d8dd7
 )
 
-// machineTerm is machine k's component hash, given its binary key.
-func machineTerm(k int, key []byte) uint64 {
-	return mix64(fingerprint(key) + uint64(k+1)*machineSalt)
+// machineTerm is machine k's component hash, given its snapshot. The
+// index salt is what lets a snapshot omit construction constants: two
+// machines whose snapshots may be compared are always the same node.
+func machineTerm(k int, snap []byte) uint64 {
+	return mix64(fingerprint(snap) + uint64(k+1)*machineSalt)
 }
 
 // chanWeight is the odd weight one queued pulse on channel c adds.
@@ -123,24 +124,13 @@ func chanWeight(c int) uint64 { return mix64(uint64(c)+chanSalt) | 1 }
 // initWeight is the weight node k's set init bit adds.
 func initWeight(k int) uint64 { return mix64(uint64(k) + initSalt) }
 
-// appendMachineKey appends one machine's binary key: its KeyAppender
-// encoding, or its StateKey text prefixed by the text's length.
-func appendMachineKey(b []byte, m node.Cloneable[pulse.Pulse]) []byte {
-	if ka, ok := m.(node.KeyAppender); ok {
-		return ka.AppendStateKey(b)
-	}
-	k := m.StateKey()
-	b = node.AppendKey32(b, uint32(len(k)))
-	return append(b, k...)
-}
-
 // componentSum computes st's component sum from scratch, storing each
 // machine's term into terms when it is non-nil (len(st.ms) entries). buf
 // is encoding scratch; the grown buffer is returned for reuse.
 func componentSum(st *state, terms []uint64, buf []byte) (uint64, []byte) {
 	var sum uint64
 	for k, m := range st.ms {
-		buf = appendMachineKey(buf[:0], m)
+		buf = m.SnapshotTo(buf[:0])
 		t := machineTerm(k, buf)
 		if terms != nil {
 			terms[k] = t

@@ -18,8 +18,9 @@ import (
 // queue depths, and sent counter), so StatesVisited, TerminalStates, and
 // MaxDepth are functions of the reachable-state closure — which is the
 // same set regardless of exploration order. On ANY failure (violation,
-// stall, budget, audit collision) the counters and the failing schedule
-// DO depend on order, so runParallel discards the partial run and reruns
+// stall, state or depth budget, audit collision) the counters and the
+// failing schedule DO depend on order, so runParallel discards the
+// partial run and reruns
 // the sequential undo engine, which yields the canonical first witness
 // and the same Report the sequential explorer would produce. Errors are
 // the rare, terminal case; the common (passing) case keeps full speedup.
@@ -127,7 +128,7 @@ func (p *parExplorer) dfs(sp *stepper, depth int) {
 	if !added {
 		return
 	}
-	if p.states.Add(1) > int64(p.cfg.MaxStates) {
+	if p.states.Add(1) > int64(p.cfg.MaxStates) || depth > maxDepth {
 		p.fail()
 		return
 	}

@@ -3,6 +3,7 @@ package check_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"coleader/internal/check"
@@ -171,9 +172,7 @@ func TestParallelLargerInstance(t *testing.T) {
 }
 
 // deafMachine sends one pulse at init but never accepts delivery: every
-// schedule stalls with pulses queued toward a never-ready port. It is
-// deliberately NOT node.Undoable, so the undo engine's clone-fallback
-// path does the stepping.
+// schedule stalls with pulses queued toward a never-ready port.
 type deafMachine struct{ sent bool }
 
 func (d *deafMachine) Init(e node.PulseEmitter) {
@@ -187,7 +186,13 @@ func (d *deafMachine) CloneMachine() node.PulseMachine {
 	cp := *d
 	return &cp
 }
-func (d *deafMachine) StateKey() string { return fmt.Sprintf("deaf|%t", d.sent) }
+func (d *deafMachine) SnapshotTo(buf []byte) []byte {
+	if d.sent {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+func (d *deafMachine) Restore(snap []byte) { d.sent = snap[0] != 0 }
 
 func deafConfig(t *testing.T) check.Config {
 	t.Helper()
@@ -241,6 +246,71 @@ func TestStateBudgetWitnessReplay(t *testing.T) {
 	}
 	if _, replayErr := check.Replay(cfg, steps); replayErr != nil {
 		t.Fatalf("budget witness replay errored: %v", replayErr)
+	}
+}
+
+// forever is a one-node ring that forwards every pulse back to itself
+// and counts it: a single schedule that never ends, through ever-new
+// states.
+type forever struct{ fwd uint64 }
+
+func (f *forever) Init(e node.PulseEmitter) { e.Send(pulse.Port1, pulse.Pulse{}) }
+func (f *forever) OnMsg(_ pulse.Port, _ pulse.Pulse, e node.PulseEmitter) {
+	f.fwd++
+	e.Send(pulse.Port1, pulse.Pulse{})
+}
+func (f *forever) Ready(pulse.Port) bool { return true }
+func (f *forever) Status() node.Status   { return node.Status{} }
+func (f *forever) CloneMachine() node.PulseMachine {
+	cp := *f
+	return &cp
+}
+func (f *forever) SnapshotTo(buf []byte) []byte { return node.AppendKey64(buf, f.fwd) }
+func (f *forever) Restore(snap []byte)          { f.fwd = node.Key64(snap) }
+
+// TestDepthBound: a schedule deeper than the explorer's recursion bound
+// (2^20 steps) ends in ErrDepthBound — an ErrStateBudget carrying the
+// witness and naming the depth — well inside the default state budget,
+// with the same report at any width. Reaching the bound runs the
+// sequential engine 2^20 frames deep, so a recursive frame that grows
+// past the goroutine stack's share (512 MB / 2^20 = 512 B) turns this
+// test into a stack-overflow crash.
+func TestDepthBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	if raceEnabled {
+		t.Skip("a 2^20-frame stack is too large to shadow under the race detector")
+	}
+	const bound = 1 << 20
+	topo, err := ring.Oriented(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reports []check.Report
+	for _, w := range []int{1, 2} {
+		rep, err := check.Exhaustive(check.Config{
+			Topo:        topo,
+			Workers:     w,
+			NewMachines: func() ([]node.PulseMachine, error) { return []node.PulseMachine{&forever{}}, nil },
+		})
+		if !errors.Is(err, check.ErrDepthBound) || !errors.Is(err, check.ErrStateBudget) {
+			t.Fatalf("workers=%d: err = %v, want ErrDepthBound wrapping ErrStateBudget", w, err)
+		}
+		if want := fmt.Sprintf("depth %d", bound+1); !strings.Contains(err.Error(), want) {
+			t.Errorf("workers=%d: error %q does not name %q", w, err, want)
+		}
+		// The witness is the init step plus one delivery per level.
+		if steps, ok := check.Witness(err); !ok || len(steps) != bound+2 {
+			t.Errorf("workers=%d: witness of %d steps (attached %v), want %d", w, len(steps), ok, bound+2)
+		}
+		reports = append(reports, rep)
+	}
+	want := check.Report{StatesVisited: bound + 1, MaxDepth: bound}
+	for i, rep := range reports {
+		if rep != want {
+			t.Errorf("report %d = %+v, want %+v", i, rep, want)
+		}
 	}
 }
 

@@ -44,9 +44,6 @@ type undoFrame struct {
 	deliverCh int32 // -1 for an init step
 	snapOff   int32 // snapArena length before the step
 	sendOff   int32 // sendArena length before the step
-	// clone is the pre-step machine copy when the machine does not
-	// implement node.Undoable (the fallback path); nil otherwise.
-	clone node.Cloneable[pulse.Pulse]
 	// fault marks the frame as a fault injection (mach/deliverCh then
 	// name the target); wasCrashed preserves a Restart victim's flag.
 	fault      faultClass
@@ -87,10 +84,10 @@ func (sp *stepper) memoKey(mode MemoMode) []byte {
 }
 
 // retally folds one handler run into the component sum: machine k's term
-// is re-encoded, and every channel on the send log past sendOff gains one
-// pulse's weight.
+// is re-encoded from its snapshot, and every channel on the send log past
+// sendOff gains one pulse's weight.
 func (sp *stepper) retally(k int, sendOff int32) {
-	sp.hashBuf = appendMachineKey(sp.hashBuf[:0], sp.st.ms[k])
+	sp.hashBuf = sp.st.ms[k].SnapshotTo(sp.hashBuf[:0])
 	t := machineTerm(k, sp.hashBuf)
 	sp.sum += t - sp.terms[k]
 	sp.terms[k] = t
@@ -107,12 +104,11 @@ func (sp *stepper) key() []byte {
 }
 
 // apply executes one step in place, first snapshotting the one machine it
-// runs (node.Undoable) or deep-copying it (fallback), and logging every
-// channel the handler increments. The returned frame reverts the step —
-// including after a failed apply: the snapshot precedes the handler and
-// every queue change is logged, and Undoable.Restore clears any error the
-// handler left, so revert restores the pre-step state exactly (fault mode
-// prunes violating edges instead of aborting).
+// runs and logging every channel the handler increments. The returned
+// frame reverts the step — including after a failed apply: the snapshot
+// precedes the handler and every queue change is logged, and Restore
+// clears any error the handler left, so revert restores the pre-step state
+// exactly (fault mode prunes violating edges instead of aborting).
 func (sp *stepper) apply(s Step) (undoFrame, error) {
 	if s.Fault != 0 {
 		return sp.applyFault(s)
@@ -132,11 +128,7 @@ func (sp *stepper) apply(s Step) (undoFrame, error) {
 		term:      sp.terms[k],
 	}
 	m := sp.st.ms[k]
-	if u, ok := m.(node.Undoable); ok {
-		sp.snapArena = u.SnapshotTo(sp.snapArena)
-	} else {
-		fr.clone = m.CloneMachine().(node.Cloneable[pulse.Pulse])
-	}
+	sp.snapArena = m.SnapshotTo(sp.snapArena)
 	if fx := sp.st.fx; fx != nil && fx.windowed {
 		fx.handlerCnt[k]++
 		if ch >= 0 {
@@ -162,8 +154,8 @@ func (sp *stepper) apply(s Step) (undoFrame, error) {
 
 // revert undoes an applied step: queue increments come back off the send
 // log, the consumed pulse (or init bit) is restored, the machine rewinds
-// from its snapshot (or swaps back to the pre-step clone), and the
-// component sum and machine term are restored from the frame.
+// from its snapshot, and the component sum and machine term are restored
+// from the frame.
 func (sp *stepper) revert(fr undoFrame) {
 	sp.sum = fr.sum
 	if fr.mach >= 0 {
@@ -194,12 +186,8 @@ func (sp *stepper) revert(fr undoFrame) {
 			fx.delivCnt[fr.deliverCh]--
 		}
 	}
-	if fr.clone != nil {
-		sp.st.ms[k] = fr.clone
-	} else {
-		sp.st.ms[k].(node.Undoable).Restore(sp.snapArena[fr.snapOff:])
-		sp.snapArena = sp.snapArena[:fr.snapOff]
-	}
+	sp.st.ms[k].Restore(sp.snapArena[fr.snapOff:])
+	sp.snapArena = sp.snapArena[:fr.snapOff]
 }
 
 // pushChoices appends the schedulable events of the current state to the
@@ -295,16 +283,56 @@ type undoExplorer struct {
 	steps []Step // schedule from the root to the current state
 }
 
+// dfs explores everything reachable from the current state, which sits
+// at the given depth, and leaves the state as it found it unless it
+// returns an error.
 func (ex *undoExplorer) dfs(depth int) error {
+	base, fend, err := ex.visit(depth)
+	if err != nil || base < 0 {
+		return err
+	}
+	for i := base; i < fend; i++ {
+		step := ex.stepAt(i)
+		if step.Fault != 0 {
+			ex.rep.InjectionEdges++
+		}
+		ex.steps = append(ex.steps, step)
+		fr, err := ex.apply(step)
+		if err == nil {
+			err = ex.dfs(depth + 1)
+		} else {
+			err = ex.stepFailed(err)
+		}
+		ex.steps = ex.steps[:len(ex.steps)-1]
+		if err != nil {
+			return err
+		}
+		ex.revert(fr)
+	}
+	ex.popChoices(base)
+	return nil
+}
+
+// visit records the current state, at the given depth, in the memo and
+// the report and pushes its choices — protocol steps, then fault branches
+// — onto the choice arena. base < 0 means the state was already visited.
+// It and stepFailed are kept out of dfs so that their temporaries do not
+// widen the recursive frame: dfs recurses once per step, up to maxDepth
+// deep, and its frame (216 bytes on amd64) times 2^20 must fit the
+// goroutine stack.
+func (ex *undoExplorer) visit(depth int) (base, fend int, err error) {
 	added, merr := ex.memo.insert(ex.fingerprint(), ex.memoKey(ex.cfg.Memo))
 	if merr != nil {
-		return wrapWitness(merr, ex.steps)
+		return -1, 0, wrapWitness(merr, ex.steps)
 	}
 	if !added {
-		return nil
+		return -1, 0, nil
 	}
 	if ex.rep.StatesVisited >= ex.cfg.MaxStates {
-		return wrapWitness(fmt.Errorf("%w (%d)", ErrStateBudget, ex.cfg.MaxStates), ex.steps)
+		return -1, 0, wrapWitness(fmt.Errorf("%w (%d)", ErrStateBudget, ex.cfg.MaxStates), ex.steps)
+	}
+	if depth > maxDepth {
+		return -1, 0, depthError(depth, ex.steps)
 	}
 	ex.rep.StatesVisited++
 	if depth > ex.rep.MaxDepth {
@@ -318,40 +346,26 @@ func (ex *undoExplorer) dfs(depth int) error {
 		if ex.st.fx.faulted() {
 			ex.rep.countTerminal(out)
 		} else if verr != nil {
-			return wrapWitness(verr, ex.steps)
+			return -1, 0, wrapWitness(verr, ex.steps)
 		}
 	}
 	// Fault branches extend the same choice window: terminal states keep
 	// them too (a corrupt-at-quiescence injection is exactly the
 	// self-stabilization probe).
-	fend := end
+	fend = end
 	if fx := ex.st.fx; fx != nil && len(fx.log) < fx.plan.Budget {
 		fend = ex.pushFaultChoices()
 	}
-	for i := base; i < fend; i++ {
-		step := ex.stepAt(i)
-		if step.Fault != 0 {
-			ex.rep.InjectionEdges++
-		}
-		ex.steps = append(ex.steps, step)
-		fr, err := ex.apply(step)
-		if err == nil {
-			err = ex.dfs(depth + 1)
-		} else if errors.Is(err, ErrViolation) && ex.st.fx.faulted() {
-			// An injection consequence: prune the edge, keep exploring.
-			ex.rep.ViolationEdges++
-			ex.steps = ex.steps[:len(ex.steps)-1]
-			ex.revert(fr)
-			continue
-		} else {
-			err = wrapWitness(err, ex.steps)
-		}
-		ex.steps = ex.steps[:len(ex.steps)-1]
-		if err != nil {
-			return err
-		}
-		ex.revert(fr)
+	return base, fend, nil
+}
+
+// stepFailed classifies a failed apply: on an already-faulted path a
+// violation is an injection consequence, counted and pruned (nil);
+// otherwise it aborts the exploration with the schedule as its witness.
+func (ex *undoExplorer) stepFailed(err error) error {
+	if errors.Is(err, ErrViolation) && ex.st.fx.faulted() {
+		ex.rep.ViolationEdges++
+		return nil
 	}
-	ex.popChoices(base)
-	return nil
+	return wrapWitness(err, ex.steps)
 }

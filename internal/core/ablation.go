@@ -110,26 +110,6 @@ func (a *Alg2Unguarded) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-// StateKey implements node.Cloneable: the AppendStateKey bytes.
-func (a *Alg2Unguarded) StateKey() string { return string(a.AppendStateKey(nil)) }
-
-// AppendStateKey implements node.KeyAppender.
-func (a *Alg2Unguarded) AppendStateKey(dst []byte) []byte {
-	flags := byte(a.state)
-	if a.termSent {
-		flags |= 1 << 4
-	}
-	if a.terminated {
-		flags |= 1 << 5
-	}
-	dst = append(dst, 'B', 'U', byte(a.cwPort), flags)
-	dst = node.AppendKey64(dst, a.id)
-	dst = node.AppendKey64(dst, a.rhoCW)
-	dst = node.AppendKey64(dst, a.sigCW)
-	dst = node.AppendKey64(dst, a.rhoCCW)
-	return node.AppendKey64(dst, a.sigCCW)
-}
-
 // SnapshotTo implements node.Undoable: same layout as Alg2.
 func (a *Alg2Unguarded) SnapshotTo(buf []byte) []byte {
 	flags := byte(a.state)

@@ -103,17 +103,6 @@ func (a *Alg1) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-// StateKey implements node.Cloneable: the AppendStateKey bytes.
-func (a *Alg1) StateKey() string { return string(a.AppendStateKey(nil)) }
-
-// AppendStateKey implements node.KeyAppender.
-func (a *Alg1) AppendStateKey(dst []byte) []byte {
-	dst = append(dst, 'B', '1', byte(a.cwPort), byte(a.state))
-	dst = node.AppendKey64(dst, a.id)
-	dst = node.AppendKey64(dst, a.rhoCW)
-	return node.AppendKey64(dst, a.sigCW)
-}
-
 // SnapshotTo implements node.Undoable: the mutable fields only (id and
 // cwPort are construction-time constants).
 func (a *Alg1) SnapshotTo(buf []byte) []byte {

@@ -157,26 +157,6 @@ func (a *Alg2) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-// StateKey implements node.Cloneable: the AppendStateKey bytes.
-func (a *Alg2) StateKey() string { return string(a.AppendStateKey(nil)) }
-
-// AppendStateKey implements node.KeyAppender.
-func (a *Alg2) AppendStateKey(dst []byte) []byte {
-	flags := byte(a.state)
-	if a.termSent {
-		flags |= 1 << 4
-	}
-	if a.terminated {
-		flags |= 1 << 5
-	}
-	dst = append(dst, 'B', '2', byte(a.cwPort), flags)
-	dst = node.AppendKey64(dst, a.id)
-	dst = node.AppendKey64(dst, a.rhoCW)
-	dst = node.AppendKey64(dst, a.sigCW)
-	dst = node.AppendKey64(dst, a.rhoCCW)
-	return node.AppendKey64(dst, a.sigCCW)
-}
-
 // SnapshotTo implements node.Undoable: the four counters plus a flags byte.
 func (a *Alg2) SnapshotTo(buf []byte) []byte {
 	flags := byte(a.state)

@@ -179,23 +179,6 @@ func (a *Alg3) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-// StateKey implements node.Cloneable: the AppendStateKey bytes.
-func (a *Alg3) StateKey() string { return string(a.AppendStateKey(nil)) }
-
-// AppendStateKey implements node.KeyAppender.
-func (a *Alg3) AppendStateKey(dst []byte) []byte {
-	flags := byte(a.state)
-	if a.oriented {
-		flags |= 1 << 4
-	}
-	dst = append(dst, 'B', '3', byte(a.scheme), byte(a.cwPort), flags)
-	dst = node.AppendKey64(dst, a.id)
-	dst = node.AppendKey64(dst, a.rho[0])
-	dst = node.AppendKey64(dst, a.rho[1])
-	dst = node.AppendKey64(dst, a.sig[0])
-	return node.AppendKey64(dst, a.sig[1])
-}
-
 // SnapshotTo implements node.Undoable: the per-port counters and the
 // recomputed output block. The id/vid fields are constants for plain Alg3;
 // Alg3Resample (which mutates them) snapshots them itself.

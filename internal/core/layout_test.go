@@ -10,13 +10,11 @@ import (
 )
 
 // encoder is the encoding surface the checker and the fault plane use:
-// SnapshotTo feeds the undo arena, Corrupt and PerturbBytes; the
-// AppendStateKey bytes feed the memo, and StateKey is their string form.
+// SnapshotTo feeds the undo arena, the memo key, Corrupt and
+// PerturbBytes.
 type encoder interface {
 	node.PulseMachine
-	node.KeyAppender
-	StateKey() string
-	SnapshotTo(buf []byte) []byte
+	node.Undoable
 }
 
 // drive runs Init, then delivers one pulse per entry of ports.
@@ -35,18 +33,17 @@ func repeatPort(p pulse.Port, k int) []pulse.Port {
 	return out
 }
 
-// TestEncodingLayoutsPinned pins the SnapshotTo and AppendStateKey bytes
-// of every core machine at one fixed mid-run state. Corrupt XORs the
-// last snapshot byte and PerturbBytes flips random snapshot positions,
-// so a layout change silently moves what the fault census injects; this
-// test makes such a change a deliberate edit of the golden slices.
+// TestEncodingLayoutsPinned pins the SnapshotTo bytes of every core
+// machine at one fixed mid-run state. Corrupt XORs the last snapshot
+// byte and PerturbBytes flips random snapshot positions, so a layout
+// change silently moves what the fault census injects; this test makes
+// such a change a deliberate edit of the golden slices.
 func TestEncodingLayoutsPinned(t *testing.T) {
 	cases := []struct {
 		name     string
 		build    func() (encoder, error)
 		ports    []pulse.Port
 		wantSnap []byte
-		wantKey  []byte
 	}{
 		{
 			// Five clockwise arrivals: rho_cw lands on ID, Leader.
@@ -57,12 +54,6 @@ func TestEncodingLayoutsPinned(t *testing.T) {
 				0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // rho_cw
 				0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_cw
 				0x01, // state: Leader
-			},
-			wantKey: []byte{
-				'B', '1', 0x01, 0x01, // tag, cwPort, state
-				0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // id
-				0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // rho_cw
-				0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_cw
 			},
 		},
 		{
@@ -78,14 +69,6 @@ func TestEncodingLayoutsPinned(t *testing.T) {
 				0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_ccw
 				0x11, // flags: Leader | termSent
 			},
-			wantKey: []byte{
-				'B', '2', 0x01, 0x11, // tag, cwPort, flags
-				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // id
-				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // rho_cw
-				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_cw
-				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // rho_ccw
-				0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_ccw
-			},
 		},
 		{
 			// One counterclockwise arrival before the guard terminates the
@@ -100,14 +83,6 @@ func TestEncodingLayoutsPinned(t *testing.T) {
 				0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_ccw
 				0x20, // flags: terminated
 			},
-			wantKey: []byte{
-				'B', 'U', 0x01, 0x20, // tag, cwPort, flags
-				0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // id
-				0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // rho_cw
-				0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_cw
-				0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // rho_ccw
-				0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_ccw
-			},
 		},
 		{
 			// rho_0 reaches ID^(1) = 4 (Leader, oriented, Port1 clockwise),
@@ -121,14 +96,6 @@ func TestEncodingLayoutsPinned(t *testing.T) {
 				0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_0
 				0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_1
 				0x31, // flags: Leader | oriented | cwPort 1
-			},
-			wantKey: []byte{
-				'B', '3', 0x01, 0x01, 0x11, // tag, scheme, cwPort, flags
-				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // id
-				0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // rho_0
-				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // rho_1
-				0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_0
-				0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_1
 			},
 		},
 		{
@@ -150,16 +117,6 @@ func TestEncodingLayoutsPinned(t *testing.T) {
 				0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_1
 				0x12, // flags: NonLeader | oriented
 			},
-			wantKey: []byte{
-				'B', 'R', 'B', '3', 0x02, 0x00, 0x12, // tags, scheme, cwPort, flags
-				0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // id
-				0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // rho_0
-				0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // rho_1
-				0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_0
-				0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // sig_1
-				0x46, 0x74, 0xdf, 0x7d, 0x2c, 0x6d, 0xa6, 0xda, // PRNG state
-				0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // resamples
-			},
 		},
 	}
 	for _, tc := range cases {
@@ -171,12 +128,6 @@ func TestEncodingLayoutsPinned(t *testing.T) {
 			drive(m, tc.ports...)
 			if got := m.SnapshotTo(nil); !bytes.Equal(got, tc.wantSnap) {
 				t.Errorf("SnapshotTo = %#v\nwant        %#v", got, tc.wantSnap)
-			}
-			if got := m.AppendStateKey(nil); !bytes.Equal(got, tc.wantKey) {
-				t.Errorf("AppendStateKey = %#v\nwant            %#v", got, tc.wantKey)
-			}
-			if got := m.StateKey(); got != string(tc.wantKey) {
-				t.Errorf("StateKey = %q, want %q", got, tc.wantKey)
 			}
 		})
 	}

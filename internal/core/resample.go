@@ -85,17 +85,6 @@ func (a *Alg3Resample) CloneMachine() node.PulseMachine {
 	return &cp
 }
 
-// StateKey implements node.Cloneable: the AppendStateKey bytes.
-func (a *Alg3Resample) StateKey() string { return string(a.AppendStateKey(nil)) }
-
-// AppendStateKey implements node.KeyAppender.
-func (a *Alg3Resample) AppendStateKey(dst []byte) []byte {
-	dst = append(dst, 'B', 'R')
-	dst = a.inner.AppendStateKey(dst)
-	dst = node.AppendKey64(dst, a.rng.State())
-	return node.AppendKey64(dst, uint64(a.resamples))
-}
-
 // SnapshotTo implements node.Undoable. Unlike plain Alg3, the resampling
 // rule mutates the inner machine's id and virtual IDs, and the PRNG state
 // advances with every draw — all of it snapshots here.

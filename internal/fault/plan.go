@@ -37,8 +37,8 @@ type Plan struct {
 	CorruptMasks []byte
 }
 
-// maxPlanWindow bounds Window so saturated counters fit the checker's
-// fixed-width state-key encoding.
+// maxPlanWindow bounds Window so saturated counters fit the two bytes
+// per counter of the checker's fault-section key.
 const maxPlanWindow = 1 << 15
 
 // Normalize validates the plan and fills defaults (the single-bit

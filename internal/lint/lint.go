@@ -25,7 +25,6 @@ const (
 	CheckHandlerBlock     = "handler-block"
 	CheckStateSnapshot    = "state-snapshot"
 	CheckStateRestore     = "state-restore"
-	CheckStateKey         = "state-key"
 	CheckStateSkew        = "state-skew"
 	CheckConcLeak         = "conc-goroutine-leak"
 	CheckConcChanDir      = "conc-chan-direction"
@@ -40,7 +39,7 @@ func AllChecks() []string {
 		CheckDetTime, CheckDetGlobalRand, CheckDetMapRange,
 		CheckLayerDAG, CheckAtomicMixed, CheckAtomicCopy,
 		CheckHandlerBlock,
-		CheckStateSnapshot, CheckStateRestore, CheckStateKey, CheckStateSkew,
+		CheckStateSnapshot, CheckStateRestore, CheckStateSkew,
 		CheckConcLeak, CheckConcChanDir, CheckConcLockOrder,
 	}
 }
@@ -59,9 +58,8 @@ var checkDocs = map[string]string{
 	CheckAtomicMixed:      "a field accessed via sync/atomic anywhere must be accessed that way everywhere",
 	CheckAtomicCopy:       "atomic.Int64-style values must never be copied by value (a copy races with concurrent updates)",
 	CheckHandlerBlock:     "event handlers run by internal/sim and internal/live must not reach blocking operations",
-	CheckStateSnapshot:    "every field a machine's handlers write must be encoded by SnapshotTo (an omitted field makes undo exploration resurrect stale state)",
+	CheckStateSnapshot:    "every field a machine's handlers write must be encoded by SnapshotTo (an omitted field makes undo exploration resurrect stale state and merges distinct states in the memo, whose key is the snapshot)",
 	CheckStateRestore:     "every field a machine's handlers write must be reset by Restore (an omitted field leaks state across explorer branches)",
-	CheckStateKey:         "every field a machine's handlers write must enter AppendStateKey/StateKey (an omitted field merges distinct states in the memo table)",
 	CheckStateSkew:        "Restore may only write fields SnapshotTo encodes (layout skew between the two desynchronizes snapshot and restore)",
 	CheckConcLeak:         "a spawned goroutine must not busy-loop forever: every unconditional loop in its body needs a channel gate (select/receive/range) or a lexical exit (return/break/goto/panic)",
 	CheckConcChanDir:      "a channel field annotated //oblint:chandir recv|send may only be used in that direction outside the declaring type's methods (the producer/consumer role convention)",
@@ -252,7 +250,6 @@ var allCheckFns = []struct {
 	{CheckHandlerBlock, checkHandlerBlock},
 	{CheckStateSnapshot, checkStateSnapshot},
 	{CheckStateRestore, checkStateRestore},
-	{CheckStateKey, checkStateKey},
 	{CheckStateSkew, checkStateSkew},
 	{CheckConcLeak, checkConcLeak},
 	{CheckConcChanDir, checkConcChanDir},

@@ -124,8 +124,8 @@ func TestAllChecksDistinct(t *testing.T) {
 		}
 		seen[c] = true
 	}
-	if len(seen) != 18 {
-		t.Errorf("expected 18 checks, got %d", len(seen))
+	if len(seen) != 17 {
+		t.Errorf("expected 17 checks, got %d", len(seen))
 	}
 	for _, c := range lint.AllChecks() {
 		if lint.CheckDoc(c) == "" {

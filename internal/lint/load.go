@@ -26,9 +26,9 @@
 //     and atomic wrapper values must not be copied.
 //   - handler discipline (handler-block): no blocking operation reachable
 //     from an Init/OnMsg handler over the module-wide call graph.
-//   - state integrity (state-snapshot, state-restore, state-key,
-//     state-skew): every field a machine's handlers write must round-trip
-//     through its SnapshotTo/Restore and state-key encodings; see
+//   - state integrity (state-snapshot, state-restore, state-skew): every
+//     field a machine's handlers write must round-trip through its
+//     SnapshotTo/Restore encoding, which is also its memo key; see
 //     statecoverage.go.
 //
 // The interprocedural checks resolve call chains through Runner.Resolve,

@@ -2,17 +2,14 @@ package lint
 
 // state-* family: a field-parity prover for machine state encodings. The
 // exhaustive explorer (internal/check) is sound only if every mutable
-// field of every machine round-trips through its state encodings:
-//
-//   - SnapshotTo/Restore (node.Undoable) back the undo-DFS: a handler-
-//     written field SnapshotTo omits is resurrected stale on backtrack
-//     (state-snapshot); one Restore omits leaks across branches
-//     (state-restore); one Restore writes but SnapshotTo never encodes is
-//     layout skew — Restore reads bytes that are not there (state-skew).
-//   - AppendStateKey (node.KeyAppender), or StateKey on the CloneMachine
-//     fallback path, backs the visited-state memo: an omitted field merges
-//     distinct global states and the explorer silently under-explores
-//     (state-key).
+// field of every machine round-trips through SnapshotTo/Restore
+// (node.Undoable), which back both the undo-DFS and the visited-state
+// memo (the snapshot is the memo key). A handler-written field SnapshotTo
+// omits is resurrected stale on backtrack and merges distinct global
+// states in the memo (state-snapshot); one Restore omits leaks across
+// branches (state-restore); one Restore writes but SnapshotTo never
+// encodes is layout skew — Restore reads bytes that are not there
+// (state-skew).
 //
 // No configuration gates the family: any struct type with the method
 // shapes is checked wherever it lives, so a future machine package is
@@ -22,12 +19,11 @@ package lint
 //	             module-wide call graph (same-type helper methods, methods
 //	             called on fields, functions the receiver is passed to);
 //	snap(T)    = fields SnapshotTo reads;   restore(T) = fields Restore
-//	             writes;                    key(T)     = fields
-//	             AppendStateKey (or StateKey) reads;
+//	             writes;
 //
-// and requires writes ⊆ snap, writes ⊆ restore, writes ⊆ key, and
-// restore ⊆ snap. Error-typed fields are exempt everywhere: the Undoable
-// contract (internal/node) states snapshots are only taken from fault-free
+// and requires writes ⊆ snap, writes ⊆ restore, and restore ⊆ snap.
+// Error-typed fields are exempt everywhere: the Undoable contract
+// (internal/node) states snapshots are only taken from fault-free
 // machines, so implementations need not encode error values and Restore
 // merely clears them.
 //
@@ -66,10 +62,6 @@ func checkStateRestore(r *Runner, p *Package, report func(token.Pos, string, str
 	reportStateFamily(r, p, CheckStateRestore, report)
 }
 
-func checkStateKey(r *Runner, p *Package, report func(token.Pos, string, string)) {
-	reportStateFamily(r, p, CheckStateKey, report)
-}
-
 func checkStateSkew(r *Runner, p *Package, report func(token.Pos, string, string)) {
 	reportStateFamily(r, p, CheckStateSkew, report)
 }
@@ -104,14 +96,7 @@ func stateFindingsFor(g *moduleGraph, p *Package) []stateFinding {
 		m := methods[name]
 		snapshot := methodShape(m["SnapshotTo"], p, 1, 1)
 		restore := methodShape(m["Restore"], p, 1, 0)
-		appendKey := methodShape(m["AppendStateKey"], p, 1, 1)
-		stateKey := methodShape(m["StateKey"], p, 0, 1)
-		clone := methodShape(m["CloneMachine"], p, 0, 1)
-
-		undoable := snapshot != nil && restore != nil
-		keyed := appendKey != nil
-		fallback := !keyed && stateKey != nil && clone != nil
-		if !undoable && !keyed && !fallback {
+		if snapshot == nil || restore == nil {
 			continue
 		}
 
@@ -131,16 +116,6 @@ func stateFindingsFor(g *moduleGraph, p *Package) []stateFinding {
 		writes := scanFields(g, p, named, true, m["Init"], m["OnMsg"])
 		snapReads := scanFields(g, p, named, false, snapshot)
 		restoreWrites := scanFields(g, p, named, true, restore)
-		var keyReads *fieldSet
-		var keyMethod string
-		switch {
-		case keyed:
-			keyReads = scanFields(g, p, named, false, appendKey)
-			keyMethod = "AppendStateKey"
-		case fallback:
-			keyReads = scanFields(g, p, named, false, stateKey)
-			keyMethod = "StateKey"
-		}
 
 		errType := types.Universe.Lookup("error").Type()
 		for i := 0; i < strct.NumFields(); i++ {
@@ -151,20 +126,16 @@ func stateFindingsFor(g *moduleGraph, p *Package) []stateFinding {
 			fn := f.Name()
 			qual := name + "." + fn
 			if writes.has(fn) {
-				if undoable && !snapReads.has(fn) {
+				if !snapReads.has(fn) {
 					out = append(out, stateFinding{f.Pos(), CheckStateSnapshot,
-						fmt.Sprintf("field %s is written by Init/OnMsg but never encoded by SnapshotTo; undo exploration would restore a stale value into it", qual)})
+						fmt.Sprintf("field %s is written by Init/OnMsg but never encoded by SnapshotTo; undo exploration would restore a stale value into it, and distinct states would merge in the exploration memo", qual)})
 				}
-				if undoable && !restoreWrites.has(fn) {
+				if !restoreWrites.has(fn) {
 					out = append(out, stateFinding{f.Pos(), CheckStateRestore,
 						fmt.Sprintf("field %s is written by Init/OnMsg but never restored by Restore; its value would leak across explorer branches", qual)})
 				}
-				if keyReads != nil && !keyReads.has(fn) {
-					out = append(out, stateFinding{f.Pos(), CheckStateKey,
-						fmt.Sprintf("field %s is written by Init/OnMsg but never keyed by %s; distinct states would merge in the exploration memo", qual, keyMethod)})
-				}
 			}
-			if undoable && restoreWrites.names[fn] && !snapReads.has(fn) {
+			if restoreWrites.names[fn] && !snapReads.has(fn) {
 				out = append(out, stateFinding{f.Pos(), CheckStateSkew,
 					fmt.Sprintf("Restore writes field %s, which SnapshotTo never encodes (snapshot/restore layout skew)", qual)})
 			}

@@ -236,8 +236,7 @@ func TestFixtureHandlerBlock(t *testing.T) {
 // stateChecks is the full state-integrity family; the fixtures are built
 // so each family member fires only where its want comment says.
 var stateChecks = []string{
-	lint.CheckStateSnapshot, lint.CheckStateRestore,
-	lint.CheckStateKey, lint.CheckStateSkew,
+	lint.CheckStateSnapshot, lint.CheckStateRestore, lint.CheckStateSkew,
 }
 
 func TestFixtureStateSnapshot(t *testing.T) {
@@ -246,10 +245,6 @@ func TestFixtureStateSnapshot(t *testing.T) {
 
 func TestFixtureStateRestore(t *testing.T) {
 	runFixture(t, lint.Config{Checks: stateChecks}, "fixt/staterestore")
-}
-
-func TestFixtureStateKey(t *testing.T) {
-	runFixture(t, lint.Config{Checks: stateChecks}, "fixt/statekey")
 }
 
 // TestFixtureCrossPackageBlock proves two things at once: handler roots

@@ -49,65 +49,51 @@ type PulseMachine = Machine[pulse.Pulse]
 type PulseEmitter = Emitter[pulse.Pulse]
 
 // Cloneable is implemented by machines that support exhaustive schedule
-// exploration (internal/check): the explorer snapshots and restores machine
-// state while branching over delivery orders.
+// exploration (internal/check), together with Undoable: the explorer
+// deep-copies the state whenever it hands a subtree to another worker (or,
+// in its reference engine, on every branch).
 type Cloneable[M any] interface {
 	Machine[M]
 
 	// CloneMachine returns a deep copy of the machine.
 	CloneMachine() Machine[M]
-
-	// StateKey returns a canonical encoding of the machine's entire state,
-	// used to memoize visited global states. Two machines with equal
-	// StateKeys must behave identically forever after.
-	StateKey() string
 }
 
-// KeyAppender is an optional extension of Cloneable: machines that can
-// append a compact fixed-width binary encoding of their state to a
-// caller-provided buffer. The encoding must carry exactly the information
-// of StateKey (two machines share a binary key iff they share a StateKey)
-// but avoids the per-state formatting and string assembly cost, which
-// dominates memoized exhaustive exploration. Encodings should begin with
-// a short type tag so keys of different machine types never collide.
-//
-// Field parity: every struct field Init or OnMsg writes (directly or
-// through helpers) must influence the key — an omitted field merges
-// distinct global states and the explorer silently under-explores. The
-// oblint state-key check proves this per field, for AppendStateKey and
-// for the StateKey/CloneMachine fallback alike; error-typed fields are
-// exempt (see Undoable).
-type KeyAppender interface {
-	AppendStateKey(dst []byte) []byte
-}
-
-// Undoable is an optional extension of Cloneable used by the undo-based
-// exhaustive explorer (internal/check): instead of deep-copying the whole
-// machine slice per branch, the explorer snapshots the one machine a step
-// mutates into a shared arena and restores it when backtracking.
+// Undoable is a machine's one state encoding. The exhaustive explorer
+// (internal/check) requires it of every machine: it snapshots the one
+// machine a step mutates into a shared arena and restores it when
+// backtracking, and the snapshot bytes are also the machine's memo key —
+// two machines at the same node index with equal snapshots must behave
+// identically forever after. The simulator's and the live runtime's fault
+// planes use it, where present, for restart and corrupt injections.
 //
 // SnapshotTo appends a compact encoding of the machine's MUTABLE state to
 // buf and returns the extended buffer; construction-time constants (IDs,
-// port labels, schemes) need not be included. Restore sets the machine's
-// state from the prefix of snap written by the matching SnapshotTo call;
-// snap may carry trailing bytes beyond that prefix, which Restore must
-// ignore. Snapshots are only taken from — and restored onto — machines
-// whose Status().Err is nil (the explorer aborts on the first fault), so
-// implementations need not encode error values; Restore clears any.
+// port labels, schemes) need not be included, because they are fixed per
+// node index within one exploration and the memo salts each machine's key
+// by its index. Restore sets the machine's state from the prefix of snap
+// written by the matching SnapshotTo call; snap may carry trailing bytes
+// beyond that prefix, which Restore must ignore — so the encoding is
+// self-delimiting, and concatenated snapshots key a whole ring
+// unambiguously. Snapshots are only taken from — and restored onto —
+// machines whose Status().Err is nil (the explorer aborts on the first
+// fault), so implementations need not encode error values; Restore
+// clears any.
 //
 // Field parity: every struct field Init or OnMsg writes (directly or
 // through helpers) must be encoded by SnapshotTo AND written back by
 // Restore, and Restore must not decode fields SnapshotTo never encodes.
-// The oblint state-snapshot, state-restore, and state-skew checks prove
-// all three per field, module-wide; error-typed fields are exempt per
-// the contract above.
+// An omitted field both resurrects stale state on backtrack and merges
+// distinct global states in the memo. The oblint state-snapshot,
+// state-restore, and state-skew checks prove all three per field,
+// module-wide; error-typed fields are exempt per the contract above.
 type Undoable interface {
 	SnapshotTo(buf []byte) []byte
 	Restore(snap []byte)
 }
 
 // AppendKey64 appends v to dst in little-endian order: the fixed-width
-// building block of binary state keys.
+// building block of Undoable snapshots.
 func AppendKey64(dst []byte, v uint64) []byte {
 	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))

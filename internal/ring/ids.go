@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // ErrDuplicateID is returned by CheckDistinct for assignments with repeats.
@@ -131,4 +133,55 @@ func CheckDistinct(ids []uint64) error {
 		seen[id] = i
 	}
 	return nil
+}
+
+// ParseIDs parses a comma-separated ID list such as "3,1,2" (spaces
+// around entries are ignored). It checks syntax only: whether an ID is
+// admissible (positive, distinct) is the consuming algorithm's call.
+func ParseIDs(s string) ([]uint64, error) {
+	parts, err := splitList(s)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]uint64, len(parts))
+	for i, part := range parts {
+		v, err := strconv.ParseUint(part, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("ring: bad ID %q: %w", part, err)
+		}
+		ids[i] = v
+	}
+	return ids, nil
+}
+
+// ParseFlips parses a comma-separated port-flip list such as "0,1,0",
+// the NonOriented input: each entry must be exactly 0 or 1.
+func ParseFlips(s string) ([]bool, error) {
+	parts, err := splitList(s)
+	if err != nil {
+		return nil, err
+	}
+	flips := make([]bool, len(parts))
+	for i, part := range parts {
+		switch part {
+		case "0":
+		case "1":
+			flips[i] = true
+		default:
+			return nil, fmt.Errorf("ring: bad port flip %q (want 0 or 1)", part)
+		}
+	}
+	return flips, nil
+}
+
+// splitList splits a non-empty comma-separated list into trimmed entries.
+func splitList(s string) ([]string, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, errors.New("ring: empty list")
+	}
+	parts := strings.Split(s, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts, nil
 }

@@ -2,6 +2,8 @@ package ring_test
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -136,5 +138,64 @@ func TestSparseIDsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestParseIDs(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []uint64
+		err  string
+	}{
+		{in: "3,1,2", want: []uint64{3, 1, 2}},
+		{in: " 7 , 0,18446744073709551615", want: []uint64{7, 0, 18446744073709551615}},
+		{in: "5", want: []uint64{5}},
+		{in: "", err: "empty list"},
+		{in: "  ", err: "empty list"},
+		{in: "3,,2", err: `bad ID ""`},
+		{in: "3,-1", err: `bad ID "-1"`},
+		{in: "1,x", err: `bad ID "x"`},
+		{in: "18446744073709551616", err: "value out of range"},
+	}
+	for _, tc := range cases {
+		got, err := ring.ParseIDs(tc.in)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ParseIDs(%q) = %v, %v; want error containing %q", tc.in, got, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseIDs(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
+func TestParseFlips(t *testing.T) {
+	cases := []struct {
+		in   string
+		want []bool
+		err  string
+	}{
+		{in: "0,1,0", want: []bool{false, true, false}},
+		{in: " 1 ,1", want: []bool{true, true}},
+		{in: "0", want: []bool{false}},
+		{in: "", err: "empty list"},
+		{in: "0,2,1", err: `bad port flip "2"`},
+		{in: "0,,1", err: `bad port flip ""`},
+		{in: "true,0", err: `bad port flip "true"`},
+		{in: "01", err: `bad port flip "01"`},
+	}
+	for _, tc := range cases {
+		got, err := ring.ParseFlips(tc.in)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ParseFlips(%q) = %v, %v; want error containing %q", tc.in, got, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseFlips(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
 	}
 }
