@@ -12,9 +12,17 @@ import (
 // most once per heap. HeapHeaviest is indexed instead: its key (the
 // queued-pulse count) changes on every enqueue, which under lazy
 // staleness would grow the heap by one junk entry per count move, so
-// pos tracks each channel's single entry and key changes are in-place
-// sift-up/downs. An indexed entry only goes stale by losing
-// deliverability, and is dropped when it surfaces.
+// each channel owns at most one entry and key changes rewrite it.
+//
+// HeapHeaviest also holds one hot entry outside h: the newest
+// registration that beat the previous hot one. Under Heaviest a flushed
+// backlog lands on the next channel, which is then the deepest queue,
+// so the winner is usually the channel just registered; holding it
+// outside h spares the O(log n) sift-up on arrival and the sift-down
+// when it drains and leaves. The pick is the better of the hot entry
+// and h's root. Every entry, hot or in h, goes stale only by losing
+// deliverability or by a count or head move that its channel's next
+// registration overwrites; stale entries are dropped when inspected.
 type auxHeap struct {
 	kind HeapKind
 	dir  pulse.Direction                // HeapDirOldest: covered direction
@@ -22,15 +30,16 @@ type auxHeap struct {
 
 	h    []auxEntry
 	mark []uint64 // lazy kinds: last seq pushed per channel; 0 = none
-	pos  []int32  // HeapHeaviest: heap index + 1 per channel; 0 = absent
+	// pos is HeapHeaviest's index: heap index + 1 per channel, 0 when
+	// absent, -1 while the channel is hot.
+	pos []int32
+	hot auxEntry // HeapHeaviest: the entry held outside h; c = -1 when none
 }
 
 // auxEntry is one heap candidate: ordering key, the head sequence
 // number it was registered under (every kind's validity witness), and
 // the channel. HeapHeaviest additionally witnesses the queued-pulse
-// count through its key (key == ^count), which is stale exactly when
-// the count moved — though indexed maintenance updates the entry in
-// place on every move, so only deliverability can stale it.
+// count through its key (key == ^count).
 type auxEntry struct {
 	key uint64
 	seq uint64
@@ -70,6 +79,7 @@ func (s *Sim[M]) installHeapHints() {
 			kind: hint.Kind,
 			dir:  hint.Dir,
 			rank: hint.Rank,
+			hot:  auxEntry{c: -1},
 		}
 		if hint.Kind == HeapHeaviest {
 			a.pos = make([]int32, len(s.queues))
@@ -86,7 +96,7 @@ func (s *Sim[M]) installHeapHints() {
 // (an enqueue onto a non-empty deliverable channel changes its count
 // but not its head) — which maintains the invariant that every
 // currently deliverable channel has a valid entry in every
-// direction-matching aux heap.
+// direction-matching aux heap, HeapHeaviest's hot entry included.
 func (s *Sim[M]) auxPush(c int, seq uint64) {
 	for i := range s.aux {
 		a := &s.aux[i]
@@ -102,7 +112,7 @@ func (s *Sim[M]) auxPush(c int, seq uint64) {
 		case HeapRank:
 			key = a.rank(c, seq)
 		case HeapHeaviest:
-			a.fix(c, ^s.queues[c].tot, seq)
+			s.auxHeavy(a, auxEntry{key: ^s.queues[c].tot, seq: seq, c: int32(c)})
 			continue
 		}
 		if a.mark[c] == seq {
@@ -124,28 +134,64 @@ func (s *Sim[M]) auxPush(c int, seq uint64) {
 	}
 }
 
-// fix is the indexed kinds' registration: insert channel c if absent,
-// otherwise rewrite its single entry's key and seq in place and restore
-// heap order around it. Exactly one entry per channel ever exists, so
-// the heap never grows past the channel count and auxBest never drains
-// key-stale junk.
+// auxHeavy is HeapHeaviest's registration of e, channel e.c's
+// current count and head. The hot channel's own registration rewrites
+// the hot entry in place. A registration that beats the hot entry
+// takes its place (leaving h if it was there); the displaced entry
+// moves into h if it is still valid, and is otherwise dropped — its
+// channel lost deliverability or was just popped, and the handler's
+// refreshChan re-registers it if it is deliverable. Any other
+// registration is fixed into h.
+func (s *Sim[M]) auxHeavy(a *auxHeap, e auxEntry) {
+	c := int(e.c)
+	switch i := a.pos[c]; {
+	case i < 0:
+		a.hot = e
+	case a.hot.c < 0 || a.less(e, a.hot):
+		if i > 0 {
+			a.removeAt(int(i - 1))
+		}
+		old := a.hot
+		a.hot = e
+		a.pos[c] = -1
+		if old.c >= 0 {
+			a.pos[old.c] = 0
+			if s.auxValid(a, old) {
+				a.fix(int(old.c), old.key, old.seq)
+			}
+		}
+	default:
+		a.fix(c, e.key, e.seq)
+	}
+}
+
+// fix inserts channel c into h if absent, otherwise rewrites its
+// single entry's key and seq in place and restores heap order around
+// it. Together with the hot entry, at most one entry per channel ever
+// exists, so h never grows past the channel count and auxBest never
+// drains key-stale junk.
 func (a *auxHeap) fix(c int, key, seq uint64) {
-	if i := a.pos[c]; i != 0 {
+	if i := a.pos[c]; i > 0 {
 		e := &a.h[i-1]
 		if e.key == key && e.seq == seq {
 			return
 		}
 		e.key, e.seq = key, seq
-		if j := int(i - 1); j > 0 && a.less(a.h[j], a.h[(j-1)/2]) {
-			a.siftUp(j)
-		} else {
-			a.siftDown(j)
-		}
+		a.reheap(int(i - 1))
 		return
 	}
 	a.h = append(a.h, auxEntry{key: key, seq: seq, c: int32(c)})
 	a.pos[c] = int32(len(a.h))
 	a.siftUp(len(a.h) - 1)
+}
+
+// reheap restores heap order around index i after its entry changed.
+func (a *auxHeap) reheap(i int) {
+	if i > 0 && a.less(a.h[i], a.h[(i-1)/2]) {
+		a.siftUp(i)
+	} else {
+		a.siftDown(i)
+	}
 }
 
 // siftUp restores heap order from index i toward the root, maintaining
@@ -232,43 +278,64 @@ func (a *auxHeap) push(e auxEntry) {
 	a.siftUp(len(a.h) - 1)
 }
 
-// drop removes the root, clearing its dedup mark or position if it
-// still owns it.
+// drop removes the root, clearing its dedup mark if it still owns it.
 func (a *auxHeap) drop() {
-	h := a.h
-	top := h[0]
-	if a.pos != nil {
-		a.pos[top.c] = 0
-	} else if a.mark[top.c] == top.seq {
+	if top := a.h[0]; a.pos == nil && a.mark[top.c] == top.seq {
 		a.mark[top.c] = 0
 	}
-	last := len(h) - 1
-	h[0] = h[last]
-	a.h = h[:last]
-	if last > 0 {
-		if a.pos != nil {
-			a.pos[h[0].c] = 1
-		}
-		a.siftDown(0)
-	}
+	a.removeAt(0)
 }
 
-// auxBest returns the smallest-key channel of aux heap i that is still
-// deliverable with the head it was registered under, dropping stale
-// entries on the way. ok is false only when no covered channel is
-// deliverable (possible for direction-filtered heaps; for unfiltered
-// heaps the push invariant makes ok true whenever anything is
-// deliverable at all).
+// removeAt deletes entry i, maintaining pos for indexed kinds.
+func (a *auxHeap) removeAt(i int) {
+	h := a.h
+	if a.pos != nil {
+		a.pos[h[i].c] = 0
+	}
+	last := len(h) - 1
+	h[i] = h[last]
+	a.h = h[:last]
+	if i == last {
+		return
+	}
+	if a.pos != nil {
+		a.pos[h[i].c] = int32(i + 1)
+	}
+	a.reheap(i)
+}
+
+// auxValid reports whether e is still its channel's live candidate:
+// deliverable, with the head — and, for HeapHeaviest, the queued-pulse
+// count — it was registered under. The count is compared first, so an
+// entry whose queue was just drained fails before its head is read.
+func (s *Sim[M]) auxValid(a *auxHeap, e auxEntry) bool {
+	q := &s.queues[e.c]
+	if a.kind == HeapHeaviest && q.tot != ^e.key {
+		return false
+	}
+	return s.deliv.get(int(e.c)) && q.front().seq == e.seq
+}
+
+// auxBest returns the best channel of aux heap i that is still valid,
+// dropping stale entries on the way: the better of the hot entry and
+// h's root for HeapHeaviest, the root otherwise. ok is false only when
+// no covered channel is deliverable (possible for direction-filtered
+// heaps; for unfiltered heaps the push invariant makes ok true whenever
+// anything is deliverable at all).
 func (s *Sim[M]) auxBest(i int) (int, bool) {
 	a := &s.aux[i]
-	for len(a.h) > 0 {
-		top := a.h[0]
-		c := int(top.c)
-		if s.deliv.get(c) && s.queues[c].front().seq == top.seq &&
-			(a.kind != HeapHeaviest || s.queues[c].tot == ^top.key) {
-			return c, true
-		}
+	if a.hot.c >= 0 && !s.auxValid(a, a.hot) {
+		a.pos[a.hot.c] = 0
+		a.hot.c = -1
+	}
+	for len(a.h) > 0 && !s.auxValid(a, a.h[0]) {
 		a.drop()
+	}
+	switch {
+	case len(a.h) > 0 && (a.hot.c < 0 || a.less(a.h[0], a.hot)):
+		return int(a.h[0].c), true
+	case a.hot.c >= 0:
+		return int(a.hot.c), true
 	}
 	return 0, false
 }

@@ -194,12 +194,15 @@ func (s *Sim[M]) flushRuns(from int, consumed uint64, ev *Event) error {
 	return nil
 }
 
-// deliverRun is the batch fast path's Deliver: hand the channel's whole
-// queued pulse count to the receiver's OnPulses, pop what it consumed,
-// and account for the consumed pulses as the expanded pulse-by-pulse
-// execution would (step, delivered, and sequence numbers all advance by
-// pulse counts, so Result totals are engine-invariant).
-func (s *Sim[M]) deliverRun(c int) error {
+// deliverRun is the batch fast path's Deliver: hand the channel's
+// queued pulse count, capped at the budget of steps the limit has left,
+// to the receiver's OnPulses, pop what it consumed, and account for the
+// consumed pulses as the expanded pulse-by-pulse execution would (step,
+// delivered, and sequence numbers all advance by pulse counts, so
+// Result totals are engine-invariant). The cap keeps an aborting run's
+// step count equal to the plain engine's: the BatchMachine contract
+// already admits a run shorter than the queue.
+func (s *Sim[M]) deliverRun(c int, budget uint64) error {
 	if s.failed != nil {
 		return s.failed
 	}
@@ -215,7 +218,7 @@ func (s *Sim[M]) deliverRun(c int) error {
 	case !s.mReady(k, p):
 		return fmt.Errorf("sim: deliver on non-ready port %s of node %d", p, k)
 	}
-	avail := s.queues[c].tot
+	avail := min(s.queues[c].tot, budget)
 	s.runEm.buf = s.runEm.buf[:0]
 	var consumed uint64
 	if s.fbm != nil {
@@ -224,7 +227,7 @@ func (s *Sim[M]) deliverRun(c int) error {
 		consumed = s.bms[k].OnPulses(p, avail, &s.runEm)
 	}
 	if consumed == 0 || consumed > avail {
-		return s.fail(fmt.Errorf("sim: batch transition at node %d consumed %d of %d queued pulses", k, consumed, avail))
+		return s.fail(fmt.Errorf("sim: batch transition at node %d consumed %d of %d offered pulses", k, consumed, avail))
 	}
 	s.queues[c].popPulses(consumed)
 	s.delivered += consumed

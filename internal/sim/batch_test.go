@@ -195,6 +195,11 @@ func TestBatchedCoalescesAtScale(t *testing.T) {
 	}
 
 	res, transitions, multi := run(sim.Heaviest{})
+	// The exact counts pin each scheduler's pick sequence: any change to
+	// how a pick is served that alters a single pick moves them.
+	if transitions != 8_683 || multi != 5_607 {
+		t.Fatalf("Heaviest RunsCoalesced() = (%d, %d), want (8683, 5607)", transitions, multi)
+	}
 	if multi == 0 {
 		t.Fatal("no multi-pulse transitions on a deep-queue workload")
 	}
@@ -204,13 +209,69 @@ func TestBatchedCoalescesAtScale(t *testing.T) {
 			transitions, res.Delivered)
 	}
 
-	canonRes, canonTransitions, _ := run(sim.Canonical{})
+	canonRes, canonTransitions, canonMulti := run(sim.Canonical{})
+	if canonTransitions != 183_565 || canonMulti != 4_204 {
+		t.Fatalf("Canonical RunsCoalesced() = (%d, %d), want (183565, 4204)", canonTransitions, canonMulti)
+	}
 	if canonTransitions > canonRes.Delivered {
 		t.Fatalf("%d canonical transitions for %d pulses", canonTransitions, canonRes.Delivered)
 	}
 	if canonTransitions < 10*transitions {
 		t.Fatalf("canonical coalesced to %d transitions vs Heaviest's %d: the schedule-dependence this test documents has vanished — revisit the batching story",
 			canonTransitions, transitions)
+	}
+}
+
+// TestBatchedStepLimitExact pins that limit bounds the total number of
+// handler invocations on the batched engine exactly as on the plain
+// one: a run that reaches the limit mid-backlog consumes only the
+// pulses the limit leaves, so Steps equals the limit as on the plain
+// engine, and replaying the recorded schedule pulse by pulse reproduces
+// the batched Result.
+func TestBatchedStepLimitExact(t *testing.T) {
+	const n = 64
+	ids := ring.ConsecutiveIDs(n)
+	inst := algInstance{
+		name: "alg2/consecutive",
+		topo: func() (ring.Topology, error) { return ring.Oriented(n) },
+		machines: func() ([]node.PulseMachine, error) {
+			topo, err := ring.Oriented(n)
+			if err != nil {
+				return nil, err
+			}
+			return core.Alg2Machines(topo, ids)
+		},
+	}
+	topo, err := inst.topo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []uint64{n + 1, 1000, 4128, 8000} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			bank, err := core.NewFlatAlg2(topo, ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var events []sim.Event
+			s, err := sim.NewFlat(topo, bank, sim.Heaviest{}, sim.WithBatching(), recordEvents(&events))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(limit)
+			if !errors.Is(err, sim.ErrStepLimit) {
+				t.Fatalf("batched run ended %v, want ErrStepLimit", err)
+			}
+			if res.Steps != limit {
+				t.Fatalf("batched run stopped at %d steps, want the limit %d", res.Steps, limit)
+			}
+			_, refRes, refErr := replayExpanded(t, inst, events)
+			if refErr != nil {
+				t.Fatalf("pulse-by-pulse replay of the batched schedule failed: %v", refErr)
+			}
+			if !reflect.DeepEqual(res, refRes) {
+				t.Fatalf("results diverge:\nbatched   %+v\nreference %+v", res, refRes)
+			}
+		})
 	}
 }
 

@@ -146,17 +146,19 @@ func TestZeroBudgetPlaneIdentity(t *testing.T) {
 }
 
 // TestFaultedOptimizedMatchesRescan is the optimized-vs-rescan
-// differential under a firing fault plane, for the schedulers whose pick
-// rides the WeightedView tree. Faults are where incremental upkeep can
-// drift from the scan: a crashed node's channels keep their pulses but
-// must stop counting toward the weighted pick, restart and corrupt flip
-// Ready, and spurious and duplicated pulses grow queues outside any
-// handler. Every run must match its WithRescanDeliverable twin event for
-// event, with identical Result, error and injection log.
+// differential under a firing fault plane, for every stock scheduler:
+// the scan-served ones, the WeightedView tree's (Random, Laggy) and
+// every aux heap's, HeapHeaviest's hot entry included. Faults are where
+// incremental upkeep can drift from the scan: a crashed node's channels
+// keep their pulses but must stop counting toward the weighted pick and
+// drop out of the heaps, restart and corrupt flip Ready, and spurious
+// and duplicated pulses grow queues outside any handler. Every run must
+// match its WithRescanDeliverable twin event for event, with identical
+// Result, error and injection log.
 func TestFaultedOptimizedMatchesRescan(t *testing.T) {
 	classes := map[fault.Class]int{}
 	for _, inst := range faultInstances() {
-		for _, schedName := range []string{"random", "flaky"} {
+		for schedName := range sim.Stock(1) {
 			for _, seed := range []int64{1, 2, 3, 5, 7, 11} {
 				name := fmt.Sprintf("%s/%s/seed=%d", inst.name, schedName, seed)
 				t.Run(name, func(t *testing.T) {

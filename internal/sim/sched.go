@@ -101,8 +101,9 @@ type RankedView interface {
 }
 
 // HeaviestView is an optional fast path: the deliverable channel with
-// the most queued pulses, ties toward the smaller channel id (the
-// scan's tie-break). ok is false when the fast path is unavailable.
+// the most queued pulses, ties toward the oldest head and then the
+// smaller channel id (the scan's tie-break). ok is false when the fast
+// path is unavailable.
 type HeaviestView interface {
 	HeaviestDeliverable() (c int, ok bool)
 }
@@ -254,7 +255,10 @@ func (Newest) HeapHints() []HeapHint { return []HeapHint{{Kind: HeapNewest}} }
 // batching near 3x on Algorithm 2, while Heaviest turns whole backlogs
 // into single O(1) transitions. Pulse totals are schedule-invariant, so
 // it probes the same Theta(n·ID_max) volume as every other stock
-// scheduler. The HeapHeaviest hint makes the pick O(log n).
+// scheduler. The HeapHeaviest hint serves the pick from an indexed
+// heap plus one hot entry held outside it: the newest registration
+// that beat the previous hot one. That is usually the channel a flushed
+// backlog just landed on, so the next pick costs no O(log n) sift.
 type Heaviest struct{}
 
 // Next implements Scheduler.

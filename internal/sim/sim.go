@@ -984,7 +984,7 @@ func (s *Sim[M]) RunDeliveries(limit uint64) (Result, error) {
 		}
 		c := s.sched.Next(&view)
 		if s.batch {
-			if err := s.deliverRun(c); err != nil {
+			if err := s.deliverRun(c, limit-s.step); err != nil {
 				return s.Result(), err
 			}
 			continue
