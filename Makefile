@@ -127,8 +127,10 @@ modelcheck-smoke:
 # two ringsim runs with identical (seed, fault-seed, classes, budget) must
 # produce byte-identical output — same outcome, same injection log — and
 # the fault-bearing packages must be race-clean. The live runtime and its
-# differential tests run ten times under the race detector: a lost wake-up
-# in the inbox protocol would surface only as an intermittent StallError.
+# differential tests run ten times under the race detector at 1, 2 and 4
+# Ps: a lost wake-up in the parked-flag handshake would surface only as an
+# intermittent StallError, and how often the handshake races depends on
+# how many goroutines run at once.
 fault-smoke:
 	$(GO) run ./cmd/ringsim -algo alg1 -ids 4,9,2,7 -sched random -seed 3 \
 		-faults all -fault-seed 11 -fault-budget 4 > .fault-run-a.txt
@@ -136,7 +138,7 @@ fault-smoke:
 		-faults all -fault-seed 11 -fault-budget 4 > .fault-run-b.txt
 	cmp .fault-run-a.txt .fault-run-b.txt
 	$(GO) test -race ./internal/fault/...
-	$(GO) test -race -count=10 ./internal/live/ ./internal/differential/
+	$(GO) test -race -count=10 -cpu 1,2,4 ./internal/live/ ./internal/differential/
 	@echo "faulted replays byte-identical; fault, live and differential packages race-clean"
 	@rm -f .fault-run-a.txt .fault-run-b.txt
 

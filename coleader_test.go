@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"coleader"
 )
@@ -277,6 +278,18 @@ func TestFacadeValidation(t *testing.T) {
 	}
 	if _, err := coleader.Compute([]uint64{1}, nil); err == nil {
 		t.Error("mismatched apps accepted")
+	}
+}
+
+// TestLiveTimeoutRejected: a non-positive live-mode timeout is rejected
+// with an error naming it, instead of a stall before any node ran.
+func TestLiveTimeoutRejected(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Second} {
+		_, err := coleader.ElectOriented([]uint64{4, 9, 2, 7, 5, 1, 8, 3},
+			coleader.WithLiveRuntime(), coleader.WithTimeout(d))
+		if err == nil || strings.Contains(err.Error(), "unaccounted") || !strings.Contains(err.Error(), d.String()) {
+			t.Errorf("timeout %v: err = %v, want an input error naming %v", d, err, d)
+		}
 	}
 }
 

@@ -8,17 +8,36 @@
 // Content-obliviousness is physical here: a pulse carries no content, so
 // a FIFO of pulses is exactly its length, and each incoming channel is an
 // atomic counter of queued pulses. There is no content to consult even by
-// accident. A send adds to the receiver's counter and posts a token on the
-// receiver's wake channel without ever blocking; the receiver re-reads
-// both counters after every wake, so no send is missed.
+// accident. A node that reads k pulses queued on a port takes them as one
+// run: it delivers them one by one, each with its own machine transition
+// and plane consults, and pays its bookkeeping (the count decrement, the
+// delivery tally, the stop check) once per run. Theorem 1 fixes the total,
+// so how the pulses group into runs cannot change the outcome.
 //
-// Quiescence detection uses a single conservation counter: every send
-// increments it and every fully processed delivery decrements it after the
-// handler (and its sends) completed. Pulses are created only inside
+// Wake protocol. A send adds to the receiver's counter and never blocks.
+// A node that finds nothing deliverable sets its parked flag, re-reads
+// both counters and the stop flag, and only then blocks on its wake
+// channel; a sender that reads the flag set after its add posts a token.
+// Go's atomics are sequentially consistent, so of the node's (write
+// parked, read counts) and the sender's (write count, read parked) at
+// least one sees the other's write: either the node sees the pulse and
+// does not block, or the sender sees the flag and wakes it. A stale token
+// only causes a spurious wake. Shutdown sets a stopping flag and then
+// posts a token to every inbox; nodes check the flag once per run and
+// after every wake.
+//
+// Quiescence detection uses a single conservation counter: it counts
+// every pulse queued, every pulse inside a handler, and every unit of
+// credit a node holds. A handled pulse's unit becomes credit on the
+// node's emitter, and a send spends a unit of credit before it touches
+// the counter, so a node relaying pulses moves units between credit and
+// queues without a shared atomic. The node settles its credit with one
+// subtraction before it parks, is handed to the supervisor, terminates or
+// exits, so a parked node holds none. Pulses are created only inside
 // handlers, and a running handler keeps its own input pulse counted, so
 // once the counter reaches zero with all nodes initialized it can never
 // rise again: zero is a stable, race-free quiescence witness. Detection is
-// event-driven — whichever goroutine performs the decrement that reaches
+// event-driven — whichever goroutine performs the subtraction that reaches
 // (0 in flight, 0 uninitialized) signals the supervisor directly, so there
 // is no poll loop and no detection latency to tune.
 //
@@ -220,7 +239,7 @@ type config struct {
 // Option configures Run.
 type Option func(*config)
 
-// WithTimeout bounds the whole run (default 10s).
+// WithTimeout bounds the whole run (default 10s); Run rejects d <= 0.
 func WithTimeout(d time.Duration) Option { return func(c *config) { c.timeout = d } }
 
 // RestorePolicy selects what state a supervised node is revived with.
@@ -278,6 +297,9 @@ func Run(topo ring.Topology, machines []node.PulseMachine, opts ...Option) (Resu
 	for _, o := range opts {
 		o(&cfg)
 	}
+	if cfg.timeout <= 0 {
+		return Result{}, fmt.Errorf("live: timeout %v is not positive", cfg.timeout)
+	}
 	n := topo.N()
 	if cfg.plane != nil && cfg.plane.Config().Nodes != n {
 		return Result{}, fmt.Errorf("live: fault plane sized for %d nodes on a %d-node ring",
@@ -290,6 +312,7 @@ func Run(topo ring.Topology, machines []node.PulseMachine, opts ...Option) (Resu
 		stop:      make(chan struct{}),
 		quiesce:   make(chan struct{}, 1),
 		inboxes:   make([]inbox, n),
+		emitters:  make([]emitter, n),
 		plane:     cfg.plane,
 		supervise: cfg.supervise && cfg.plane != nil,
 		policy:    cfg.policy,
@@ -307,6 +330,7 @@ func Run(topo ring.Topology, machines []node.PulseMachine, opts ...Option) (Resu
 	}
 
 	for k := range r.inboxes {
+		r.emitters[k] = emitter{r: r, from: k}
 		in := &r.inboxes[k]
 		in.wake = make(chan struct{}, 1)
 		if cfg.chaos != 0 {
@@ -343,6 +367,10 @@ monitor:
 			break monitor
 		}
 	}
+	r.stopping.Store(true)
+	for k := range r.inboxes {
+		r.inboxes[k].post()
+	}
 	close(r.stop)
 	r.wg.Wait()
 
@@ -356,17 +384,14 @@ monitor:
 type netRuntime struct {
 	topo      ring.Topology
 	machines  []node.PulseMachine
-	inboxes   []inbox // by receiving node
-	stop      chan struct{}
+	inboxes   []inbox   // by receiving node
+	emitters  []emitter // by sending node; owned like machines[k]
+	stopping  atomic.Bool
+	stop      chan struct{} // closed after stopping is set; unblocks the supervisor handoff
 	quiesce   chan struct{} // buffered(1): edge signal that zero was reached
 	wg        sync.WaitGroup
 	inflight  atomic.Int64
 	initsLeft atomic.Int64
-
-	sent      atomic.Uint64
-	delivered atomic.Uint64
-	sentCW    atomic.Uint64
-	sentCCW   atomic.Uint64
 
 	mu        sync.Mutex
 	termOrder []int
@@ -392,12 +417,13 @@ type netRuntime struct {
 	crashCh   chan int
 }
 
-// noteQuiet signals the supervisor if the conservation counter is zero with
-// every node initialized. Called after every decrement of either counter;
-// zero is stable once reached (no handler is running when in-flight is
-// zero, so nothing can send), making the edge signal sufficient.
-func (r *netRuntime) noteQuiet() {
-	if r.initsLeft.Load() == 0 && r.inflight.Load() == 0 {
+// noteQuiet signals the watchdog if inflight, a value of the conservation
+// counter just read or returned by a subtraction, is zero with every node
+// initialized. Zero is stable once reached (no pulse is queued, no handler
+// is running and no credit is held, so nothing can send), making the edge
+// signal sufficient.
+func (r *netRuntime) noteQuiet(inflight int64) {
+	if inflight == 0 && r.initsLeft.Load() == 0 {
 		select {
 		case r.quiesce <- struct{}{}:
 		default:
@@ -405,58 +431,85 @@ func (r *netRuntime) noteQuiet() {
 	}
 }
 
-// count records one pulse entering the wire.
-func (r *netRuntime) count(dir pulse.Direction) {
-	r.inflight.Add(1)
-	r.sent.Add(1)
-	if dir == pulse.CW {
-		r.sentCW.Add(1)
-	} else {
-		r.sentCCW.Add(1)
-	}
-}
-
 // inbox is node k's receiving end of its two incoming channels. A pulse
 // carries no content, so a FIFO of pulses is exactly its length: q[p]
-// counts the pulses queued on port p. A sender adds to the count before it
-// posts a token on wake, and the node re-reads both counts after every
-// wake, so a send landing after the node last looked always finds a token
-// waiting. Only the node decrements its counts.
+// counts the pulses queued on port p. A sender adds to the count and then
+// posts a token on wake only if it reads parked set; the node sets parked
+// and re-reads both counts before it blocks on wake (see the package
+// doc), so a send landing after the node last looked is never missed.
+// Only the node decrements its counts, once per run of deliveries.
 type inbox struct {
-	q    [2]atomic.Int64
-	wake chan struct{} // buffered(1): a count may have risen
+	q      [2]atomic.Int64
+	parked atomic.Bool   // the node is about to block, or blocked, on wake
+	wake   chan struct{} // buffered(1): a count may have risen, or the run is stopping
 
 	// Owned by the goroutine driving the node, like the machine.
 	jitter uint64 // 0 = no chaos; otherwise the node's xorshift state
 	flip   bool   // which port goes first when both are deliverable
 }
 
-// pick returns the port node k takes its next delivery from, or false
-// when neither port is deliverable. A port is deliverable when the machine
-// polls it and its count is positive; an unpolled port keeps its count,
-// which realizes the model's "the node does not poll this queue". When
-// both are deliverable the ports alternate, or under chaos the node's
-// jitter draw chooses.
-func (in *inbox) pick(m node.PulseMachine) (pulse.Port, bool) {
-	d0 := m.Ready(pulse.Port0) && in.q[0].Load() > 0
-	d1 := m.Ready(pulse.Port1) && in.q[1].Load() > 0
-	if !d0 && !d1 {
-		return 0, false
+// post leaves a wake token without blocking; a waiting token already
+// covers this one.
+func (in *inbox) post() {
+	select {
+	case in.wake <- struct{}{}:
+	default:
 	}
-	x := in.shake()
-	switch {
-	case !d0:
-		return pulse.Port1, true
-	case !d1:
-		return pulse.Port0, true
+}
+
+// pick returns the port node k takes its next run of deliveries from and
+// the count it read there, or a zero count when neither port is
+// deliverable. A port is deliverable when the machine polls it and its
+// count is positive; an unpolled port keeps its count, which realizes the
+// model's "the node does not poll this queue". When both are deliverable
+// successive runs alternate between the ports, or under chaos the node's
+// jitter draw chooses and the run is one pulse long, so the jitter and
+// the draw come before every delivery.
+func (in *inbox) pick(m node.PulseMachine) (pulse.Port, int64) {
+	c := in.deliverable(m)
+	if c[0] == 0 && c[1] == 0 {
+		return 0, 0
+	}
+	p := pulse.Port0
+	switch x := in.shake(); {
+	case c[0] == 0:
+		p = pulse.Port1
+	case c[1] == 0:
 	case in.jitter != 0:
-		return pulse.Port(x >> 4 & 1), true
+		p = pulse.Port(x >> 4 & 1)
+	default:
+		in.flip = !in.flip
+		if !in.flip {
+			p = pulse.Port1
+		}
 	}
-	in.flip = !in.flip
-	if in.flip {
-		return pulse.Port0, true
+	if in.jitter != 0 {
+		return p, 1
 	}
-	return pulse.Port1, true
+	return p, c[p]
+}
+
+// deliverable reads the count of each port the machine polls, and zero
+// for a port it does not.
+func (in *inbox) deliverable(m node.PulseMachine) (c [2]int64) {
+	if m.Ready(pulse.Port0) {
+		c[0] = in.q[0].Load()
+	}
+	if m.Ready(pulse.Port1) {
+		c[1] = in.q[1].Load()
+	}
+	return c
+}
+
+// park blocks node k until a count may have risen or the run is stopping.
+// The re-check after setting parked closes the race with a sender that
+// added to a count before the flag was visible.
+func (r *netRuntime) park(in *inbox, m node.PulseMachine) {
+	in.parked.Store(true)
+	if c := in.deliverable(m); c[0] == 0 && c[1] == 0 && !r.stopping.Load() {
+		<-in.wake
+	}
+	in.parked.Store(false)
 }
 
 // shake advances the chaos state and injects the pseudo-random scheduling
@@ -483,21 +536,58 @@ func (in *inbox) shake() uint64 {
 	return x
 }
 
-// emitter routes a node's sends into the receivers' inboxes, maintaining
-// the conservation counter.
+// emitter is node k's sending end and pulse accounting: it routes the
+// node's sends into the receivers' inboxes, holds the node's credit, and
+// tallies the pulses the node put on the wire per direction (sends,
+// duplicates and spurious injections) and the deliveries it took. Like
+// the machine it is touched only by the goroutine driving the node, so
+// the fields are plain; credit is zero at every handoff, so each
+// incarnation starts clean, and collect reads the tallies after wg.Wait.
+// The padding keeps each node's emitter on its own cache line.
 type emitter struct {
-	r    *netRuntime
-	from int
+	r                          *netRuntime
+	from                       int
+	credit                     int64 // in-flight units of handled pulses not yet settled
+	sentCW, sentCCW, delivered uint64
+	_                          [16]byte
+}
+
+// enter accounts copies pulses travelling in direction dir about to be
+// queued: each is counted in flight, by spending held credit or by adding
+// to the counter, before the caller queues it.
+func (e *emitter) enter(dir pulse.Direction, copies int64) {
+	if e.credit >= copies {
+		e.credit -= copies
+	} else {
+		e.r.inflight.Add(copies - e.credit)
+		e.credit = 0
+	}
+	if dir == pulse.CW {
+		e.sentCW += uint64(copies)
+	} else {
+		e.sentCCW += uint64(copies)
+	}
+}
+
+// settle returns the held credit to the conservation counter with one
+// subtraction, whose result drives quiescence detection.
+func (e *emitter) settle() {
+	if e.credit == 0 {
+		return
+	}
+	left := e.r.inflight.Add(-e.credit)
+	e.credit = 0
+	e.r.noteQuiet(left)
 }
 
 // Send implements node.Emitter and never blocks. With a fault plane, loss
 // is decided before the pulse is counted (a dropped pulse never enters the
 // conservation ledger) and duplication queues two counted pulses. Each
 // pulse is counted in flight before it is queued, and queued before the
-// receiver is woken.
-func (e emitter) Send(p pulse.Port, m pulse.Pulse) {
+// receiver's parked flag is read.
+func (e *emitter) Send(p pulse.Port, m pulse.Pulse) {
 	to := e.r.topo.Peer(e.from, p)
-	copies := 1
+	copies := int64(1)
 	if e.r.plane != nil {
 		switch e.r.plane.OnSend(0, 2*to.Node+int(to.Port)) {
 		case fault.Loss:
@@ -506,15 +596,11 @@ func (e emitter) Send(p pulse.Port, m pulse.Pulse) {
 			copies = 2
 		}
 	}
-	dir := e.r.topo.DirectionOf(e.from, p)
+	e.enter(e.r.topo.DirectionOf(e.from, p), copies)
 	in := &e.r.inboxes[to.Node]
-	for i := 0; i < copies; i++ {
-		e.r.count(dir)
-		in.q[to.Port].Add(1)
-	}
-	select {
-	case in.wake <- struct{}{}:
-	default: // a token is already waiting
+	in.q[to.Port].Add(copies)
+	if in.parked.Load() {
+		in.post()
 	}
 }
 
@@ -551,12 +637,12 @@ func (r *netRuntime) applyNodeFault(k int, m node.PulseMachine, em node.PulseEmi
 func (r *netRuntime) nodeLoop(k int) {
 	defer r.wg.Done()
 	m := r.machines[k]
-	var em node.PulseEmitter = emitter{r: r, from: k} // boxed once per incarnation
+	em := &r.emitters[k]
 
 	m.Init(em)
 	alive := r.applyNodeFault(k, m, em)
 	r.initsLeft.Add(-1)
-	r.noteQuiet()
+	r.noteQuiet(r.inflight.Load())
 	if !alive {
 		r.offerHeal(k)
 		return
@@ -567,12 +653,13 @@ func (r *netRuntime) nodeLoop(k int) {
 // consume runs node k's delivery loop until termination, shutdown, or a
 // fault-plane crash (which it hands to the supervisor when one exists).
 // The only blocking operation is the wait for a wake token when nothing is
-// deliverable; handlers and their sends never block.
-func (r *netRuntime) consume(k int, m node.PulseMachine, em node.PulseEmitter) {
+// deliverable; handlers and their sends never block. The node's held
+// credit is settled on every way out of the loop and before every park.
+func (r *netRuntime) consume(k int, m node.PulseMachine, em *emitter) {
 	in := &r.inboxes[k]
-	for {
-		st := m.Status()
-		if st.Terminated || st.Err != nil {
+	for !r.stopping.Load() {
+		if st := m.Status(); st.Terminated || st.Err != nil {
+			em.settle()
 			if st.Terminated {
 				r.mu.Lock()
 				r.termOrder = append(r.termOrder, k)
@@ -580,38 +667,52 @@ func (r *netRuntime) consume(k int, m node.PulseMachine, em node.PulseEmitter) {
 			}
 			return
 		}
-		p, ok := in.pick(m)
-		if !ok {
-			select {
-			case <-r.stop:
-				return
-			case <-in.wake:
-			}
+		p, c := in.pick(m)
+		if c == 0 {
+			em.settle()
+			r.park(in, m)
 			continue
 		}
-		select {
-		case <-r.stop:
-			return
-		default:
-		}
-		in.q[p].Add(-1)
-		// One plane consult per delivery taken; an injected pulse is
-		// counted in flight before it is queued, keeping zero a stable
-		// quiescence witness.
-		if r.plane != nil && r.plane.OnDeliver(0, 2*k+int(p)) == fault.Spurious {
-			r.count(r.topo.ArrivalDirection(k, p))
-			in.q[p].Add(1)
-		}
-		m.OnMsg(p, pulse.Pulse{}, em)
-		alive := r.applyNodeFault(k, m, em)
-		r.delivered.Add(1)
-		r.inflight.Add(-1)
-		r.noteQuiet()
-		if !alive {
+		if !r.drain(k, m, em, p, c) {
+			em.settle()
 			r.offerHeal(k)
 			return
 		}
 	}
+	em.settle()
+}
+
+// drain delivers up to c pulses queued on node k's port p as one run. Each
+// pulse gets its own plane consults and machine transition; the run ends
+// early when the machine stops polling p, terminates or errs, or the
+// plane crashes the node, in which case drain returns false. Each handled
+// pulse's in-flight unit becomes credit on em, and the count and the
+// delivery tally are updated once for the whole run.
+func (r *netRuntime) drain(k int, m node.PulseMachine, em *emitter, p pulse.Port, c int64) bool {
+	in := &r.inboxes[k]
+	alive := true
+	var done int64
+	for done < c {
+		// An injected pulse is counted in flight before it is queued,
+		// keeping zero a stable quiescence witness.
+		if r.plane != nil && r.plane.OnDeliver(0, 2*k+int(p)) == fault.Spurious {
+			em.enter(r.topo.ArrivalDirection(k, p), 1)
+			in.q[p].Add(1)
+		}
+		m.OnMsg(p, pulse.Pulse{}, em)
+		alive = r.applyNodeFault(k, m, em)
+		done++
+		em.credit++ // the handler is over: the pulse's unit is held, not in a handler
+		if !alive || !m.Ready(p) {
+			break
+		}
+		if st := m.Status(); st.Terminated || st.Err != nil {
+			break
+		}
+	}
+	in.q[p].Add(-done)
+	em.delivered += uint64(done)
+	return alive
 }
 
 // offerHeal hands a crashed node to the supervisor. The WaitGroup slot for
@@ -652,7 +753,7 @@ func (r *netRuntime) superviseLoop() {
 // or releases it on an unhealable crash.
 func (r *netRuntime) heal(k int) {
 	m := r.machines[k]
-	var em node.PulseEmitter = emitter{r: r, from: k}
+	em := &r.emitters[k]
 	if r.policy == RestoreInit {
 		u, ok := m.(node.Undoable)
 		if !ok || r.initSnaps[k] == nil {
@@ -693,14 +794,17 @@ func (r *netRuntime) collect() Result {
 	n := r.topo.N()
 	res := Result{
 		N:         n,
-		Sent:      r.sent.Load(),
-		Delivered: r.delivered.Load(),
-		SentCW:    r.sentCW.Load(),
-		SentCCW:   r.sentCCW.Load(),
 		Quiescent: r.inflight.Load() == 0 && r.initsLeft.Load() == 0,
 		Leader:    -1,
 		Statuses:  make([]node.Status, n),
 	}
+	for k := range r.emitters {
+		e := &r.emitters[k]
+		res.SentCW += e.sentCW
+		res.SentCCW += e.sentCCW
+		res.Delivered += e.delivered
+	}
+	res.Sent = res.SentCW + res.SentCCW
 	res.AllTerminated = true
 	for k := 0; k < n; k++ {
 		st := r.machines[k].Status()
@@ -724,7 +828,9 @@ func (r *netRuntime) collect() Result {
 }
 
 // stallReport assembles the watchdog diagnosis. Called after wg.Wait, so
-// machine and crash state reads are ordered after all goroutine writes.
+// machine and crash state reads are ordered after all goroutine writes,
+// and every node has settled its credit: InFlight is exactly the pulses
+// still queued (plus any Init that never finished).
 func (r *netRuntime) stallReport() StallReport {
 	rep := StallReport{
 		InFlight:  r.inflight.Load(),

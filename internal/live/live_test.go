@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"coleader/internal/core"
+	"coleader/internal/fault"
 	"coleader/internal/live"
 	"coleader/internal/node"
 	"coleader/internal/pulse"
@@ -175,6 +176,118 @@ func TestLiveValidation(t *testing.T) {
 	}
 	if _, err := live.Run(topo, nil); err == nil {
 		t.Error("mismatched machine count accepted")
+	}
+	// A non-positive deadline is an input error, not a stall reported
+	// before any node has run.
+	for _, d := range []time.Duration{0, -time.Second} {
+		ms, err := core.Alg2Machines(topo, []uint64{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = live.Run(topo, ms, live.WithTimeout(d))
+		if err == nil || errors.Is(err, live.ErrTimeout) || !strings.Contains(err.Error(), d.String()) {
+			t.Errorf("timeout %v: err = %v, want an input error naming %v", d, err, d)
+		}
+	}
+}
+
+// TestLiveStallConservation: every exit path settles the credit a node
+// holds, so a stall report's in-flight count is exactly the pulses still
+// queued — on a ring stopped mid-chatter and on one stranded by a crash.
+func TestLiveStallConservation(t *testing.T) {
+	topo, err := ring.Oriented(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := []node.PulseMachine{&chatterbox{}, &chatterbox{}, &chatterbox{}}
+	res, err := live.Run(topo, ms, live.WithTimeout(50*time.Millisecond))
+	var stall *live.StallError
+	if !errors.As(err, &stall) {
+		t.Fatalf("chatter: err = %v, want *StallError", err)
+	}
+	if q := queued(stall.Report); stall.Report.InFlight != q {
+		t.Errorf("chatter: InFlight = %d, want the %d queued pulses", stall.Report.InFlight, q)
+	}
+	if want := int64(res.Sent - res.Delivered); stall.Report.InFlight != want {
+		t.Errorf("chatter: InFlight = %d, want Sent-Delivered = %d", stall.Report.InFlight, want)
+	}
+
+	ids := []uint64{3, 1, 4}
+	crashTopo, err := ring.Oriented(len(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashMs, err := core.Alg2Machines(crashTopo, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane, err := fault.New(21, fault.Config{
+		Nodes: len(ids), Classes: fault.NewSet(fault.Crash), Budget: 1, Horizon: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = live.Run(crashTopo, crashMs,
+		live.WithFaultPlane(plane), live.WithTimeout(100*time.Millisecond))
+	if !errors.As(err, &stall) {
+		t.Fatalf("crash: err = %v, want *StallError", err)
+	}
+	if q := queued(stall.Report); stall.Report.InFlight != q {
+		t.Errorf("crash: InFlight = %d, want the %d queued pulses", stall.Report.InFlight, q)
+	}
+}
+
+// queued sums the pulses a stall report finds queued.
+func queued(rep live.StallReport) int64 {
+	var q int64
+	for _, ns := range rep.Nodes {
+		q += int64(ns.Queued[0] + ns.Queued[1])
+	}
+	return q
+}
+
+// TestLiveWakeupStress runs many short elections back to back: a send
+// that lands while its receiver is parking must wake it, so a lost
+// wake-up in the parked-flag handshake surfaces here as a StallError.
+func TestLiveWakeupStress(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for trial := 0; trial < 1000; trial++ {
+		var (
+			topo ring.Topology
+			ids  []uint64
+			ms   []node.PulseMachine
+			want uint64
+			err  error
+		)
+		if trial%4 == 3 {
+			const n = 4
+			ids = ring.PermutedIDs(n, rng)
+			if topo, err = ring.RandomNonOriented(n, rng); err != nil {
+				t.Fatal(err)
+			}
+			ms, err = core.Alg3Machines(n, ids, core.SchemeSuccessor)
+			want = core.PredictedAlg3Pulses(n, ring.MaxID(ids), core.SchemeSuccessor)
+		} else {
+			n := []int{2, 3, 5}[trial%3]
+			ids = ring.PermutedIDs(n, rng)
+			if topo, err = ring.Oriented(n); err != nil {
+				t.Fatal(err)
+			}
+			ms, err = core.Alg2Machines(topo, ids)
+			want = core.PredictedAlg2Pulses(n, ring.MaxID(ids))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := live.Run(topo, ms, live.WithTimeout(5*time.Second))
+		if err != nil {
+			t.Fatalf("trial %d: %v ids %v: %v", trial, topo, ids, err)
+		}
+		wantLeader, _ := ring.MaxIndex(ids)
+		if !res.Quiescent || res.Sent != want || res.Delivered != want || res.Leader != wantLeader {
+			t.Fatalf("trial %d: %v ids %v: quiescent=%t sent=%d delivered=%d leader=%d, want %d pulses and leader %d",
+				trial, topo, ids, res.Quiescent, res.Sent, res.Delivered, res.Leader, want, wantLeader)
+		}
 	}
 }
 

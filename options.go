@@ -78,7 +78,8 @@ func WithScheduler(name SchedulerName) Option { return func(c *config) { c.sched
 // asynchrony. The scheduler option is ignored in this mode.
 func WithLiveRuntime() Option { return func(c *config) { c.liveRun = true } }
 
-// WithTimeout bounds a live-runtime run (default 10s).
+// WithTimeout bounds a live-runtime run (default 10s); a run with d <= 0
+// fails with an input error.
 func WithTimeout(d time.Duration) Option { return func(c *config) { c.timeout = d } }
 
 // WithStepLimit bounds the simulator's deliveries (default: 4x the paper's
