@@ -126,7 +126,10 @@ modelcheck-smoke:
 # fault-smoke proves the fault plane's determinism contract end to end:
 # two ringsim runs with identical (seed, fault-seed, classes, budget) must
 # produce byte-identical output — same outcome, same injection log — and
-# the fault-bearing packages must be race-clean. The live runtime and its
+# the fault-bearing packages must be race-clean. A live run whose four
+# scheduled crashes are healed from checkpoints must fire all four and
+# re-quiesce: batched runs skip the plane's counters, so a skip past a
+# trigger would show here as fewer fired. The live runtime and its
 # differential tests run ten times under the race detector at 1, 2 and 4
 # Ps: a lost wake-up in the parked-flag handshake would surface only as an
 # intermittent StallError, and how often the handshake races depends on
@@ -137,10 +140,14 @@ fault-smoke:
 	$(GO) run ./cmd/ringsim -algo alg1 -ids 4,9,2,7 -sched random -seed 3 \
 		-faults all -fault-seed 11 -fault-budget 4 > .fault-run-b.txt
 	cmp .fault-run-a.txt .fault-run-b.txt
+	$(GO) run ./cmd/ringsim -algo alg2 -ids 4,9,2,7,5,1 -live -faults crash \
+		-fault-seed 11 -fault-budget 4 -heal checkpoint > .fault-live.txt
+	grep -q 'quiescent=true' .fault-live.txt
+	grep -q '4 fired' .fault-live.txt
 	$(GO) test -race ./internal/fault/...
 	$(GO) test -race -count=10 -cpu 1,2,4 ./internal/live/ ./internal/differential/
-	@echo "faulted replays byte-identical; fault, live and differential packages race-clean"
-	@rm -f .fault-run-a.txt .fault-run-b.txt
+	@echo "faulted replays byte-identical; healed live run fired every crash and re-quiesced; fault, live and differential packages race-clean"
+	@rm -f .fault-run-a.txt .fault-run-b.txt .fault-live.txt
 
 # fault-verify-smoke proves the fault-aware explorer's determinism
 # contract: a finite exhaustive census (loss+crash+corrupt, the

@@ -20,14 +20,28 @@
 // simulator's totally ordered steps and the live runtime's real
 // concurrency.
 //
+// Trigger room. A runtime that takes a run of events on one entity at a
+// time (the live runtime hands a run of same-port pulses to one
+// node.BatchMachine.OnPulses) asks Room how many more events the entity's
+// counter can take before its next pending injection could fire, and
+// advances the counter past up to that many with one Skip instead of one
+// consult each. A skipped event is indistinguishable from a consulted one
+// that returned 0, so a runtime that skips at most Room events and consults
+// at Room 0 fires every injection at the ordinal a per-event runtime would.
+// An entity with nothing pending has room math.MaxUint64. Under
+// TriggerWindow the firing event depends on the ring-wide delivery count,
+// not on the entity's own, so an entity with anything pending has room 0
+// (every event is consulted); skipped deliveries still advance the
+// ring-wide count.
+//
 // Concurrency contract: the Plane itself holds no locks. Each counter is
 // owned by exactly one caller — in the simulator everything runs on the
 // event loop; on the live runtime each channel has a single sender (the
 // ring peer) and a single receiver (the receiving node's goroutine), and
-// each node a single goroutine — so OnSend, OnDeliver, and OnHandler for a
-// given entity are always invoked from one goroutine. Log must only be called after the run has completed (for the
-// live runtime: after Run returned, which orders all goroutine writes
-// before the read).
+// each node a single goroutine — so OnSend, OnDeliver, OnHandler, Room and
+// Skip for a given entity are always invoked from one goroutine. Log must
+// only be called after the run has completed (for the live runtime: after
+// Run returned, which orders all goroutine writes before the read).
 //
 // Content-obliviousness holds for the adversary too: every decision is a
 // function of seeds and event counts, never of payloads — the package is
@@ -36,6 +50,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -139,6 +154,22 @@ func ParseSet(spec string) (Set, error) {
 	}
 	return s, nil
 }
+
+// Kind names a counter domain: the kind of entity whose local event count
+// arms an injection, and the first argument of Room and Skip.
+type Kind uint8
+
+const (
+	// Sends counts the pulses placed on a channel; it arms Loss and Dup.
+	Sends Kind = iota
+	// Deliveries counts the pulses taken from a channel; it arms Spurious.
+	Deliveries
+	// Handlers counts a node's handler invocations (Init is the first); it
+	// arms Crash, Restart and Corrupt.
+	Handlers
+
+	kindCount
+)
 
 // TriggerMode selects how an injection's Trigger ordinal is interpreted.
 type TriggerMode uint8
@@ -266,17 +297,14 @@ type Plane struct {
 	// below index into it.
 	log []Injection
 
-	// Per-entity pending injection indices, ascending by Trigger, with
+	// Per-entity pending injection indices by Kind, then by channel
+	// (Sends, Deliveries) or node (Handlers), ascending by Trigger, with
 	// the head popped as counters pass it. Triggers are unique per
 	// counter domain (construction bumps collisions), so at most the
 	// head can match.
-	sendPending  [][]int // by channel: Loss/Dup, armed by OnSend
-	delivPending [][]int // by channel: Spurious, armed by OnDeliver
-	nodePending  [][]int // by node: Crash/Restart/Corrupt, by OnHandler
-
-	sendCount  []uint64
-	delivCount []uint64
-	nodeCount  []uint64
+	pending [kindCount][][]int
+	// count holds each entity's local event count, indexed like pending.
+	count [kindCount][]uint64
 
 	// lastNode tracks, per node, the most recently fired node injection
 	// so the runtime can mark it skipped (SkipLast).
@@ -311,26 +339,13 @@ func New(seed int64, cfg Config) (*Plane, error) {
 		cfg.Horizon = 8
 	}
 	n := cfg.Nodes
-	p := &Plane{
-		cfg:          cfg,
-		seed:         seed,
-		sendPending:  make([][]int, 2*n),
-		delivPending: make([][]int, 2*n),
-		nodePending:  make([][]int, n),
-		sendCount:    make([]uint64, 2*n),
-		delivCount:   make([]uint64, 2*n),
-		nodeCount:    make([]uint64, n),
-		lastNode:     make([]int, n),
-	}
-	for k := range p.lastNode {
-		p.lastNode[k] = -1
-	}
-
+	p := newPlane(seed, cfg)
 	enabled := cfg.Classes.Classes()
 	if cfg.Budget == 0 || len(enabled) == 0 {
 		return p, nil
 	}
 	rng := xrand.New(xrand.Split(seed, streamSchedule, uint64(n)))
+	taken := triggerIndex{}
 	for b := 0; b < cfg.Budget; b++ {
 		cl := enabled[rng.Intn(len(enabled))]
 		in := Injection{Class: cl, Chan: -1}
@@ -344,13 +359,12 @@ func New(seed int64, cfg Config) (*Plane, error) {
 		in.Trigger = 1 + uint64(rng.Int63n(int64(cfg.Horizon)))
 		in.Windowed = cfg.Trigger == TriggerWindow
 		// Triggers must be unique within a counter domain so that at
-		// most one injection arms per event; collisions bump upward.
-		// (Under TriggerWindow at most the head of a pending list can
-		// fire per event regardless, but unique triggers keep the
-		// schedule shape identical across modes.)
-		for p.triggerTaken(in) {
-			in.Trigger++
-		}
+		// most one injection arms per event; a collision bumps to the
+		// lowest free trigger above it. (Under TriggerWindow at most
+		// the head of a pending list can fire per event regardless,
+		// but unique triggers keep the schedule shape identical across
+		// modes.)
+		in.Trigger = taken.take(in)
 		p.log = append(p.log, in)
 	}
 	p.indexSchedule()
@@ -371,19 +385,8 @@ func Scripted(cfg Config, schedule []Injection) (*Plane, error) {
 		cfg.Horizon = 8
 	}
 	n := cfg.Nodes
-	p := &Plane{
-		cfg:          cfg,
-		sendPending:  make([][]int, 2*n),
-		delivPending: make([][]int, 2*n),
-		nodePending:  make([][]int, n),
-		sendCount:    make([]uint64, 2*n),
-		delivCount:   make([]uint64, 2*n),
-		nodeCount:    make([]uint64, n),
-		lastNode:     make([]int, n),
-	}
-	for k := range p.lastNode {
-		p.lastNode[k] = -1
-	}
+	p := newPlane(0, cfg)
+	taken := triggerIndex{}
 	for i, in := range schedule {
 		if in.Class < Loss || int(in.Class) > classCount {
 			return nil, fmt.Errorf("fault: scripted injection %d: unknown class %d", i, in.Class)
@@ -405,7 +408,7 @@ func Scripted(cfg Config, schedule []Injection) (*Plane, error) {
 		}
 		in.Windowed = cfg.Trigger == TriggerWindow
 		in.Step, in.Fired, in.Skipped = 0, false, false
-		if p.triggerTaken(in) {
+		if taken.take(in) != in.Trigger {
 			return nil, fmt.Errorf("fault: scripted injection %d: duplicate trigger %d in its domain", i, in.Trigger)
 		}
 		p.log = append(p.log, in)
@@ -414,54 +417,87 @@ func Scripted(cfg Config, schedule []Injection) (*Plane, error) {
 	return p, nil
 }
 
-// domain returns which counter domain an injection arms in: 0 = sends on
-// its channel, 1 = deliveries on its channel, 2 = handlers of its node.
-func (in Injection) domain() int {
+// newPlane allocates an empty plane for cfg, whose Horizon is already
+// defaulted.
+func newPlane(seed int64, cfg Config) *Plane {
+	n := cfg.Nodes
+	p := &Plane{cfg: cfg, seed: seed, lastNode: make([]int, n)}
+	for kind, size := range [kindCount]int{Sends: 2 * n, Deliveries: 2 * n, Handlers: n} {
+		p.pending[kind] = make([][]int, size)
+		p.count[kind] = make([]uint64, size)
+	}
+	for k := range p.lastNode {
+		p.lastNode[k] = -1
+	}
+	return p
+}
+
+// kind returns the counter domain an injection arms in.
+func (in Injection) kind() Kind {
 	switch in.Class {
 	case Loss, Dup:
-		return 0
+		return Sends
 	case Spurious:
-		return 1
+		return Deliveries
 	default:
-		return 2
+		return Handlers
 	}
 }
 
-func (p *Plane) triggerTaken(cand Injection) bool {
-	for _, in := range p.log {
-		if in.domain() != cand.domain() || in.Trigger != cand.Trigger {
-			continue
-		}
-		if cand.domain() == 2 {
-			if in.Node == cand.Node {
-				return true
-			}
-		} else if in.Chan == cand.Chan {
-			return true
-		}
+// target returns the entity whose counter arms an injection: its channel
+// for the channel classes, its node for the node classes.
+func (in Injection) target() int {
+	if in.kind() == Handlers {
+		return in.Node
 	}
-	return false
+	return in.Chan
+}
+
+// triggerSlot is one trigger ordinal of one entity's counter.
+type triggerSlot struct {
+	kind    Kind
+	target  int
+	trigger uint64
+}
+
+// triggerIndex records the triggers taken in each counter domain as a
+// union-find over taken slots: each taken slot links to a slot above it
+// that was free when it was linked, and take compresses the chains it
+// walks, so drawing a whole schedule costs near-linear time in its length
+// however often triggers collide.
+type triggerIndex map[triggerSlot]uint64
+
+// take claims the lowest free trigger at or above in's and returns it.
+func (ix triggerIndex) take(in Injection) uint64 {
+	s := triggerSlot{in.kind(), in.target(), in.Trigger}
+	free := s.trigger
+	for {
+		next, ok := ix[triggerSlot{s.kind, s.target, free}]
+		if !ok {
+			break
+		}
+		free = next
+	}
+	// Link every slot on the walked chain, and the claimed one, past it.
+	for t := s.trigger; t != free; {
+		slot := triggerSlot{s.kind, s.target, t}
+		t = ix[slot]
+		ix[slot] = free + 1
+	}
+	ix[triggerSlot{s.kind, s.target, free}] = free + 1
+	return free
 }
 
 func (p *Plane) indexSchedule() {
 	for i, in := range p.log {
-		switch in.domain() {
-		case 0:
-			p.sendPending[in.Chan] = append(p.sendPending[in.Chan], i)
-		case 1:
-			p.delivPending[in.Chan] = append(p.delivPending[in.Chan], i)
-		default:
-			p.nodePending[in.Node] = append(p.nodePending[in.Node], i)
-		}
+		list := &p.pending[in.kind()][in.target()]
+		*list = append(*list, i)
 	}
-	byTrigger := func(list []int) {
-		sort.Slice(list, func(a, b int) bool {
-			return p.log[list[a]].Trigger < p.log[list[b]].Trigger
-		})
-	}
-	for _, lists := range [][][]int{p.sendPending, p.delivPending, p.nodePending} {
+	for _, lists := range p.pending {
 		for _, list := range lists {
-			byTrigger(list)
+			sort.Slice(list, func(a, b int) bool {
+				return p.log[list[a]].Trigger < p.log[list[b]].Trigger
+			})
 		}
 	}
 }
@@ -494,8 +530,8 @@ func (p *Plane) fire(pending *[]int, count, step uint64) (Class, int) {
 // the pulse being placed on c. step tags the log entry (pass 0 when there
 // is no global step, as on the live runtime).
 func (p *Plane) OnSend(step uint64, c int) Class {
-	p.sendCount[c]++
-	cl, _ := p.fire(&p.sendPending[c], p.sendCount[c], step)
+	p.count[Sends][c]++
+	cl, _ := p.fire(&p.pending[Sends][c], p.count[Sends][c], step)
 	return cl
 }
 
@@ -506,20 +542,52 @@ func (p *Plane) OnDeliver(step uint64, c int) Class {
 	if p.cfg.Trigger == TriggerWindow {
 		p.globalDeliv.Add(1)
 	}
-	p.delivCount[c]++
-	cl, _ := p.fire(&p.delivPending[c], p.delivCount[c], step)
+	p.count[Deliveries][c]++
+	cl, _ := p.fire(&p.pending[Deliveries][c], p.count[Deliveries][c], step)
 	return cl
 }
 
 // OnHandler advances node k's handler counter (Init is invocation 1) and
 // returns Crash, Restart, Corrupt, or 0.
 func (p *Plane) OnHandler(step uint64, k int) Class {
-	p.nodeCount[k]++
-	cl, i := p.fire(&p.nodePending[k], p.nodeCount[k], step)
+	p.count[Handlers][k]++
+	cl, i := p.fire(&p.pending[Handlers][k], p.count[Handlers][k], step)
 	if cl != 0 {
 		p.lastNode[k] = i
 	}
 	return cl
+}
+
+// Room returns how many more events entity id of the given kind (a channel
+// for Sends and Deliveries, a node for Handlers) can take before its next
+// pending injection could fire: math.MaxUint64 with nothing pending, 0
+// when its very next event must be consulted. Under TriggerWindow an
+// entity with anything pending has room 0.
+func (p *Plane) Room(kind Kind, id int) uint64 {
+	list := p.pending[kind][id]
+	if len(list) == 0 {
+		return math.MaxUint64
+	}
+	if p.cfg.Trigger == TriggerWindow {
+		return 0
+	}
+	// A head's trigger is always above its counter: triggers are unique
+	// and ascending, and the head pops when the counter reaches it.
+	return p.log[list[0]].Trigger - p.count[kind][id] - 1
+}
+
+// Skip advances entity id's counter by m events, exactly as m consults
+// that return 0 would; skipped deliveries also advance the ring-wide
+// delivery count. m must not exceed Room(kind, id): Skip panics rather
+// than step over a trigger.
+func (p *Plane) Skip(kind Kind, id int, m uint64) {
+	if room := p.Room(kind, id); m > room {
+		panic(fmt.Sprintf("fault: skip of %d events on entity %d of kind %d exceeds its room of %d", m, id, kind, room))
+	}
+	p.count[kind][id] += m
+	if kind == Deliveries && p.cfg.Trigger == TriggerWindow {
+		p.globalDeliv.Add(m)
+	}
 }
 
 // SkipLast marks node k's most recently fired injection as skipped: the
@@ -539,7 +607,7 @@ func (p *Plane) Perturb(k int, snap []byte) []byte {
 	if len(out) == 0 {
 		return out
 	}
-	rng := xrand.New(xrand.Split(p.seed, streamPerturb, uint64(k), p.nodeCount[k]))
+	rng := xrand.New(xrand.Split(p.seed, streamPerturb, uint64(k), p.count[Handlers][k]))
 	nonzero := func() byte {
 		if m := byte(rng.Uint64()); m != 0 {
 			return m
