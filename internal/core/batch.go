@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"coleader/internal/node"
 	"coleader/internal/pulse"
 )
@@ -24,32 +26,38 @@ import (
 // exactly that one pulse via OnMsg. Consumed prefixes are
 // emission-uniform — one relayed pulse each, or pure absorption — as
 // the BatchMachine contract requires.
+//
+// The equivalence holds from every state Restore can produce, not only
+// from the states OnMsg reaches: a Corrupt fault may restore counters
+// that break the invariants of a fault-free run (rho_ccw <= rho_cw,
+// sigma_ccw > 0 once rho_cw >= ID) or sit next to 2^64. Such a state
+// takes the OnMsg path until the pulse at hand behaves like its
+// neighbours again, and no relay prefix runs a counter past 2^64.
 
 // relayPrefix returns how many of k pulses can be consumed before a
-// receive counter at rho crosses the withhold threshold at id: all k if
-// the counter is already past the threshold, otherwise up to (but not
-// including) the pulse that lands exactly on it.
+// receive counter at rho crosses the withhold threshold at id: up to
+// (but not including) the pulse that lands exactly on it, or, once the
+// counter is past the threshold, up to the pulse that would wrap it.
 func relayPrefix(rho, id, k uint64) uint64 {
-	if rho >= id {
-		return k
+	d := math.MaxUint64 - rho
+	if rho < id {
+		d = id - rho - 1
 	}
-	if d := id - rho - 1; d < k {
-		return d
-	}
-	return k
+	return min(k, d)
 }
 
 // OnPulses implements node.BatchMachine: Algorithm 1's main loop over a
 // run of k clockwise pulses. The single threshold is rho_cw reaching the
 // node's ID (the withheld pulse of line 6).
 func (a *Alg1) OnPulses(p pulse.Port, k uint64, e node.BatchEmitter) uint64 {
-	if p == a.cwPort || a.rhoCW+1 == a.id {
-		// Wrong-port fault, or the withheld crossing pulse: one ordinary
-		// step keeps the non-uniform transition on the OnMsg path.
+	m := relayPrefix(a.rhoCW, a.id, k)
+	if p == a.cwPort || m == 0 {
+		// Wrong-port fault, the withheld crossing pulse, or the pulse
+		// that wraps a corrupted counter: one ordinary step keeps the
+		// non-uniform transition on the OnMsg path.
 		a.OnMsg(p, pulse.Pulse{}, e)
 		return 1
 	}
-	m := relayPrefix(a.rhoCW, a.id, k)
 	a.rhoCW += m
 	a.sigCW += m
 	a.state = node.StateNonLeader
@@ -67,34 +75,39 @@ func (a *Alg2) OnPulses(p pulse.Port, k uint64, e node.BatchEmitter) uint64 {
 		return 1
 	}
 	if p == a.cwPort.Opposite() { // clockwise pulses: Algorithm 1 over CW
-		if a.rhoCW+1 == a.id || (a.rhoCW >= a.id && a.sigCCW == 0) {
-			// The ID crossing, or a state where after()'s line 9-10 guard
-			// would fire on the first pulse: single-step it.
+		m := relayPrefix(a.rhoCW, a.id, k)
+		if m == 0 || (a.rhoCW >= a.id && a.sigCCW == 0) || a.rhoCCW > a.rhoCW {
+			// The ID crossing, or a state where an after() guard would
+			// fire on the first pulse (lines 9-10, or line 18 after a
+			// corrupted restore): single-step it.
 			a.OnMsg(p, pulse.Pulse{}, e)
 			return 1
 		}
 		// Uniform relay prefix: rho_cw stays off ID, so no after() guard
 		// can newly hold (lines 9-10 and 14-15 test rho_cw against ID;
 		// line 18's rho_ccw > rho_cw only gets falser as rho_cw grows).
-		m := relayPrefix(a.rhoCW, a.id, k)
 		a.rhoCW += m
 		a.sigCW += m
 		a.state = node.StateNonLeader
 		e.SendRun(a.cwPort, m)
 		return m
 	}
-	// Counterclockwise pulses.
-	if a.rhoCW < a.id {
-		a.OnMsg(p, pulse.Pulse{}, e) // records the Ready-violation fault
+	// Counterclockwise pulses. Every state OnMsg reaches with
+	// rho_cw >= ID has sigma_ccw > 0 and rho_ccw <= rho_cw; a corrupted
+	// restore that breaks either has a guard that may fire on the first
+	// pulse.
+	if a.rhoCW < a.id || a.sigCCW == 0 || a.rhoCCW > a.rhoCW {
+		a.OnMsg(p, pulse.Pulse{}, e) // records the Ready-violation fault, or single-steps
 		return 1
 	}
+	d := a.rhoCW - a.rhoCCW // pulses before rho_ccw exceeds rho_cw
 	if a.termSent {
 		// Lines 16-17: the leader absorbs without forwarding; the pulse
 		// that lifts rho_ccw above rho_cw terminates (line 18) and is the
 		// last one this machine may ever consume.
 		m := k
-		if d := a.rhoCW - a.rhoCCW + 1; d < m {
-			m = d
+		if d < m {
+			m = d + 1
 		}
 		a.rhoCCW += m
 		if a.rhoCCW > a.rhoCW {
@@ -103,18 +116,14 @@ func (a *Alg2) OnPulses(p pulse.Port, k uint64, e node.BatchEmitter) uint64 {
 		return m
 	}
 	// Relay prefix of the counterclockwise instance: stop before rho_ccw
-	// lands on ID (withheld pulse; line 14-15 guard) and before it
-	// exceeds rho_cw (line 18 termination).
-	m := k
+	// lands on ID (withheld pulse; line 14-15 guard), before it exceeds
+	// rho_cw (line 18 termination), and before a corrupted sigma_ccw
+	// wraps to 0 (line 9-10 guard).
+	m := min(k, d, math.MaxUint64-a.sigCCW)
 	if a.rhoCCW < a.id {
-		if d := a.id - a.rhoCCW - 1; d < m {
-			m = d
-		}
+		m = min(m, a.id-a.rhoCCW-1)
 	}
-	if d := a.rhoCW - a.rhoCCW; d < m {
-		m = d
-	}
-	if m == 0 || a.sigCCW == 0 {
+	if m == 0 {
 		a.OnMsg(p, pulse.Pulse{}, e)
 		return 1
 	}
@@ -131,11 +140,11 @@ func (a *Alg2) OnPulses(p pulse.Port, k uint64, e node.BatchEmitter) uint64 {
 // recompute after the bulk update equals one per pulse.
 func (a *Alg3) OnPulses(p pulse.Port, k uint64, e node.BatchEmitter) uint64 {
 	opp := p.Opposite()
-	if a.rho[p]+1 == a.vid[opp] {
+	m := relayPrefix(a.rho[p], a.vid[opp], k)
+	if m == 0 {
 		a.OnMsg(p, pulse.Pulse{}, e)
 		return 1
 	}
-	m := relayPrefix(a.rho[p], a.vid[opp], k)
 	a.rho[p] += m
 	a.sig[opp] += m
 	e.SendRun(opp, m)

@@ -38,6 +38,9 @@ type BatchEmitter interface {
 // 1 <= consumed <= k. The call must leave the machine in exactly the
 // state that consumed consecutive OnMsg(p, ...) invocations would have,
 // and must emit exactly the sends those invocations would have emitted.
+// This holds from every state the machine can be in, including one an
+// Undoable machine is restored to from a corrupted snapshot; the live
+// runtime hands runs to machines a fault plane has corrupted.
 //
 // So that the runtime can assign send sequence numbers identical to the
 // expanded pulse-by-pulse execution, a call that consumes more than one
