@@ -150,13 +150,13 @@ func (s *Sim[M]) enqueueRun(c int, n uint64, dir pulse.Direction) {
 		s.refreshChan(c)
 		return
 	}
-	if len(s.aux) > 0 && s.deliv.get(c) {
+	if s.deliv.get(c) {
 		// Head unchanged; re-register for count-keyed heaps only (the
 		// head-keyed ones dedup this push).
-		s.auxPush(c, q.front().seq)
-	}
-	if s.weights != nil {
-		s.reweigh(c)
+		if len(s.aux) > 0 {
+			s.auxPush(c, q.front().seq)
+		}
+		s.reweigh(c, int64(q.tot))
 	}
 }
 

@@ -8,41 +8,45 @@ import "math/bits"
 // pick in O(log channels) instead of two passes over Deliverable().
 // Unlike the aux heaps it holds no stale entries: reweigh rewrites a
 // channel's weight at every site that can move it.
+//
+// The tree is padded to a power of two: channels beyond len(w) weigh 0
+// forever. Padding lets pick descend every level with no "is the node
+// inside the tree" test, and lets it index with a mask the compiler
+// proves in range, so the descent carries neither branches nor bounds
+// checks.
 type fenwick struct {
-	tree  []int64 // 1-indexed partial sums; tree[i] covers channels i-(i&-i) .. i-1
+	// tree[i-1] is the 1-indexed Fenwick node i: the sum of channels
+	// i-(i&-i) .. i-1. len(tree) is a power of two, at least len(w).
+	tree  []int64
 	w     []int64 // registered weight per channel
 	total int64
-	top   int // largest power of two <= len(w): the descent's first stride
 }
 
 // newFenwick builds the tree over the given weights in O(len(w)),
 // taking ownership of w.
 func newFenwick(w []int64) *fenwick {
 	f := &fenwick{
-		tree: make([]int64, len(w)+1),
+		tree: make([]int64, 1<<bits.Len(uint(max(len(w), 1)-1))),
 		w:    w,
-		top:  1 << bits.Len(uint(len(w))) >> 1,
 	}
-	for i := 1; i < len(f.tree); i++ {
-		f.tree[i] += w[i-1]
-		f.total += w[i-1]
-		if j := i + i&-i; j < len(f.tree) {
-			f.tree[j] += f.tree[i]
+	copy(f.tree, w)
+	for i := 1; i <= len(f.tree); i++ {
+		if j := i + i&-i; j <= len(f.tree) {
+			f.tree[j-1] += f.tree[i-1]
 		}
 	}
+	f.total = f.tree[len(f.tree)-1] // the top node covers every channel
 	return f
 }
 
-// set registers weight x for channel c.
+// set registers weight x for channel c. Callers skip the call when x
+// equals f.w[c]: the write would add 0 along the whole update path.
 func (f *fenwick) set(c int, x int64) {
 	d := x - f.w[c]
-	if d == 0 {
-		return
-	}
 	f.w[c] = x
 	f.total += d
-	for i := c + 1; i < len(f.tree); i += i & -i {
-		f.tree[i] += d
+	for i := c + 1; i <= len(f.tree); i += i & -i {
+		f.tree[i-1] += d
 	}
 }
 
@@ -50,15 +54,26 @@ func (f *fenwick) set(c int, x int64) {
 // weight (its own weight included) exceeds x: the channel a
 // "x -= weight; stop when x < 0" scan over the channels selects.
 // x must lie in [0, total).
+//
+// The descent keeps p+1 channels whose sum is at most x behind it and
+// probes the node that would extend them by step channels. The test
+// "node sum <= x" becomes the mask m: all ones when the node sum t is
+// at most x (t-x-1 is then negative) and zero otherwise, so taking the
+// step is two masked adds instead of a data-dependent branch that a
+// random x mispredicts on about half the levels. The top node (the
+// total, never at most x) is skipped by starting at half the width.
 func (f *fenwick) pick(x int64) int {
-	pos := 0
-	for step := f.top; step > 0; step >>= 1 {
-		if next := pos + step; next < len(f.tree) && f.tree[next] <= x {
-			pos = next
-			x -= f.tree[next]
-		}
+	tree := f.tree
+	mask := len(tree) - 1
+	_ = tree[mask] // one check here proves every masked index below in range
+	p := -1
+	for step := len(tree) >> 1; step > 0; step >>= 1 {
+		t := tree[(p+step)&mask]
+		m := (t - x - 1) >> 63
+		p += step & int(m)
+		x -= t & m
 	}
-	return pos
+	return p + 1
 }
 
 // weight is channel c's weight in the tree: its queued-pulse count while
@@ -82,10 +97,15 @@ func (s *Sim[M]) buildWeights() {
 	s.weights = newFenwick(w)
 }
 
-// reweigh brings channel c's weight in the tree up to date. refreshChan
-// calls it after every deliverability decision, and the enqueue paths
-// call it when a push lands on an already non-empty queue (the only
-// count change refreshChan does not see). Callers check s.weights != nil
-// first, which keeps runs that never pick by weight at one compare per
-// site.
-func (s *Sim[M]) reweigh(c int) { s.weights.set(c, s.weight(c)) }
+// reweigh registers weight w for channel c in the tree when one is
+// installed and w differs from c's registered weight. refreshChan calls
+// it after every deliverability decision, and the enqueue paths call it
+// when a push lands on an already non-empty queue (the only count
+// change refreshChan does not see). A channel whose weight did not move
+// — a handler's untouched own port, a queue that stays undeliverable —
+// costs two compares and no write.
+func (s *Sim[M]) reweigh(c int, w int64) {
+	if f := s.weights; f != nil && f.w[c] != w {
+		f.set(c, w)
+	}
+}

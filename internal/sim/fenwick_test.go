@@ -150,3 +150,38 @@ func TestWeightedTreeKeptExact(t *testing.T) {
 		}
 	}
 }
+
+var fenwickSink int
+
+// BenchmarkFenwick times the tree alone: one set and one pick per
+// iteration, on the channel counts of a 128- and a 65,536-node ring and
+// on 200 channels, which the tree pads to 256. Channels, weights and
+// draws cycle through a pre-drawn table, and each draw is scaled into
+// [0, total) with a multiply and a shift, so the loop times the tree.
+func BenchmarkFenwick(b *testing.B) {
+	for _, n := range []int{128, 65536, 100} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			w := make([]int64, 2*n)
+			for c := range w {
+				w[c] = int64(rng.Intn(5))
+			}
+			f := newFenwick(w)
+			const table = 1024
+			var chans [table]int
+			var weights [table]int64
+			var draws [table]uint64
+			for i := range chans {
+				chans[i] = rng.Intn(2 * n)
+				weights[i] = int64(1 + rng.Intn(4))
+				draws[i] = uint64(rng.Uint32())
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i & (table - 1)
+				f.set(chans[j], weights[j])
+				fenwickSink = f.pick(int64(draws[j] * uint64(f.total) >> 32))
+			}
+		})
+	}
+}

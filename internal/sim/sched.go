@@ -115,10 +115,13 @@ type HeaviestView interface {
 // reference) and the caller must scan. PickWeighted returns the first
 // deliverable channel, in ascending id order, whose running weight sum
 // exceeds x, for x in [0, total): exactly the channel a
-// "x -= QueueLen(c)" scan over Deliverable() stops at. The simulator
-// builds the tree on the first DeliverableWeight call and keeps it
-// current from then on, so it needs no HeapHint and a scheduler that
-// never asks pays for no tree.
+// "x -= QueueLen(c)" scan over Deliverable() stops at. It returns -1
+// when there is no tree to pick from — DeliverableWeight has not been
+// called yet, or returned ok false — and when x lies outside
+// [0, total); Run rejects a -1 pick as an invalid channel. The
+// simulator builds the tree on the first DeliverableWeight call and
+// keeps it current from then on, so it needs no HeapHint and a
+// scheduler that never asks pays for no tree.
 type WeightedView interface {
 	DeliverableWeight() (total int, ok bool)
 	PickWeighted(x int) int
@@ -176,7 +179,13 @@ func (v *view[M]) DeliverableWeight() (int, bool) {
 	return int(s.weights.total), true
 }
 
-func (v *view[M]) PickWeighted(x int) int { return v.s.weights.pick(int64(x)) }
+func (v *view[M]) PickWeighted(x int) int {
+	f := v.s.weights
+	if f == nil || x < 0 || int64(x) >= f.total {
+		return -1
+	}
+	return f.pick(int64(x))
+}
 
 // Scheduler chooses the next delivery. Next is called only when at least
 // one channel is deliverable and must return one of View.Deliverable().

@@ -307,10 +307,9 @@ type heapEntry struct {
 	c   int
 }
 
+// heapPush registers (c, seq) in the oldest heap. Callers check
+// oldestOn first: until somebody consults the heap it is not maintained.
 func (s *Sim[M]) heapPush(c int, seq uint64) {
-	if !s.oldestOn {
-		return // nobody has consulted the oldest heap; don't maintain it
-	}
 	if s.heapSeq[c] == seq {
 		return // this exact candidate is already enqueued
 	}
@@ -705,13 +704,14 @@ func (s *Sim[M]) enqueue(c int, msg M, dir pulse.Direction) {
 		s.refreshChan(c)
 		return
 	}
-	if len(s.aux) > 0 && s.deliv.get(c) {
+	if s.deliv.get(c) {
 		// The head is unchanged, so the head-keyed heaps dedup this to
 		// a no-op; only a count-keyed heap (HeapHeaviest) re-registers.
-		s.auxPush(c, q.front().seq)
-	}
-	if s.weights != nil {
-		s.reweigh(c)
+		// An undeliverable channel weighs 0 before and after the push.
+		if len(s.aux) > 0 {
+			s.auxPush(c, q.front().seq)
+		}
+		s.reweigh(c, int64(q.tot))
 	}
 }
 
@@ -720,23 +720,26 @@ func (s *Sim[M]) enqueue(c int, msg M, dir pulse.Direction) {
 // either way it re-weighs c in the WeightedView tree.
 func (s *Sim[M]) refreshChan(c int) {
 	k := ChanNode(c)
+	q := &s.queues[c]
 	was := s.deliv.get(c)
-	if s.queues[c].n > 0 && s.inited[k] && s.termAt[k] == 0 && !s.crashed[k] && s.mReady(k, ChanPort(c)) {
+	var w int64 // c's weight: its pulse count while deliverable
+	if q.n > 0 && s.inited[k] && s.termAt[k] == 0 && !s.crashed[k] && s.mReady(k, ChanPort(c)) {
 		if !was {
 			s.deliv.set(c)
 			s.delivCount++
 		}
-		s.heapPush(c, s.queues[c].front().seq)
-		if len(s.aux) > 0 {
-			s.auxPush(c, s.queues[c].front().seq)
+		if s.oldestOn {
+			s.heapPush(c, q.front().seq)
 		}
+		if len(s.aux) > 0 {
+			s.auxPush(c, q.front().seq)
+		}
+		w = int64(q.tot)
 	} else if was {
 		s.deliv.clear(c)
 		s.delivCount--
 	}
-	if s.weights != nil {
-		s.reweigh(c)
-	}
+	s.reweigh(c, w)
 }
 
 // afterHandler performs the built-in checks, brings the deliverable set
@@ -869,6 +872,15 @@ func (s *Sim[M]) Deliver(c int) error {
 	case !s.mReady(k, p):
 		return fmt.Errorf("sim: deliver on non-ready port %s of node %d", p, k)
 	}
+	return s.deliver(c)
+}
+
+// deliver is Deliver once channel c is known deliverable: it pops the
+// head and runs the receiver's handler. RunDeliveries calls it directly
+// when the scheduler's choice passes the deliverable-set test, which
+// implies every check Deliver makes.
+func (s *Sim[M]) deliver(c int) error {
+	k, p := ChanNode(c), ChanPort(c)
 	head := s.queues[c].pop()
 	s.delivered++
 	s.step++
@@ -989,7 +1001,17 @@ func (s *Sim[M]) RunDeliveries(limit uint64) (Result, error) {
 			}
 			continue
 		}
-		if err := s.Deliver(c); err != nil {
+		// A choice in the deliverable set passes all of Deliver's checks;
+		// any other choice (and every choice on the rescan reference)
+		// takes the checked path, so a rogue scheduler gets Deliver's
+		// error.
+		var err error
+		if !s.rescan && uint(c) < uint(len(s.queues)) && s.deliv.get(c) {
+			err = s.deliver(c)
+		} else {
+			err = s.Deliver(c)
+		}
+		if err != nil {
 			return s.Result(), err
 		}
 	}
