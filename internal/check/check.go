@@ -17,11 +17,11 @@
 //
 // Three engine-level optimizations make larger instances tractable:
 //
-//   - Undo-based DFS (the default): instead of deep-copying the machine
-//     slice per branch, the explorer snapshots the one machine a step
-//     mutates into a shared arena, applies the step in place, and reverts
-//     on backtrack via an undo log of queue, init-bit, and sent-counter
-//     deltas.
+//   - Undo-based DFS: instead of deep-copying the machine slice per
+//     branch, the explorer snapshots the one machine a step mutates into a
+//     shared arena, applies the step in place, and reverts on backtrack
+//     via an undo log of queue, init-bit, and sent-counter deltas. The
+//     stepper's apply/revert is the only code that executes a step.
 //   - A fingerprint memo table (MemoFingerprint): 64-bit state
 //     fingerprints in an open-addressing table replace the
 //     map[string]struct{} of full keys, eliminating the per-state string
@@ -32,7 +32,9 @@
 //     and never builds the whole state key. MemoAudit certifies a run
 //     collision-free.
 //   - Parallel exploration (Config.Workers > 1): a work-sharing pool over
-//     subtree tasks with the visited set sharded behind per-shard locks.
+//     subtree tasks with the visited set sharded behind per-shard locks;
+//     a worker shares a branch by applying it, deep-copying the successor
+//     state into a task, and reverting.
 //     Because every path to a state has the same length (each step is one
 //     init or one delivery, both counted by the state itself), the report
 //     counters are functions of the reachable-state closure and therefore
@@ -68,21 +70,6 @@ type Final struct {
 	Quiescent bool
 }
 
-// Engine selects the state-restoration strategy of the explorer.
-type Engine uint8
-
-// Exploration engines.
-const (
-	// EngineUndo (the default) applies steps in place and reverts them
-	// from an undo log when backtracking.
-	EngineUndo Engine = iota
-
-	// EngineClone deep-copies the full machine slice per branch: the
-	// reference implementation, kept for differential testing and as the
-	// benchmark baseline. Sequential only (Workers must be 1).
-	EngineClone
-)
-
 // Config describes one exhaustive exploration.
 type Config struct {
 	// Topo is the (small) ring to explore.
@@ -116,10 +103,6 @@ type Config struct {
 	// Memo selects the visited-set representation; the zero value is
 	// MemoFingerprint.
 	Memo MemoMode
-
-	// Engine selects the state-restoration strategy; the zero value is
-	// EngineUndo.
-	Engine Engine
 
 	// plan is the normalized fault plan of an ExhaustiveFaults run; the
 	// zero value (all Exhaustive runs) disables the fault plane entirely.
@@ -178,8 +161,8 @@ func depthError(depth int, steps []Step) error {
 }
 
 // machine is what the explorer requires of every node: a deep copy for
-// handing a subtree to another worker (and for the clone engine), and one
-// snapshot encoding for undo, fault injection and the memo key.
+// handing a subtree to another worker, and one snapshot encoding for undo,
+// fault injection and the memo key.
 type machine interface {
 	node.Cloneable[pulse.Pulse]
 	node.Undoable
@@ -245,23 +228,13 @@ func exhaustive(cfg Config) (FaultReport, error) {
 			cfg.MaxStates = 1 << 22
 		}
 	}
-	if cfg.Engine > EngineClone {
-		return FaultReport{}, fmt.Errorf("check: unknown engine %d", cfg.Engine)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	if cfg.Workers > 1 {
-		if cfg.Engine == EngineClone {
-			return FaultReport{}, errors.New("check: the clone engine is sequential-only (set Workers to 1)")
-		}
 		return runParallel(cfg)
 	}
 	return runSequential(cfg)
 }
 
-// runSequential builds the root state and runs the selected single-core
-// engine over it.
+// runSequential builds the root state and runs the undo explorer over it.
 func runSequential(cfg Config) (FaultReport, error) {
 	root, prefix, err := buildRoot(cfg)
 	if err != nil {
@@ -271,11 +244,6 @@ func runSequential(cfg Config) (FaultReport, error) {
 	if err != nil {
 		return FaultReport{}, err
 	}
-	if cfg.Engine == EngineClone {
-		ex := &cloneExplorer{cfg: cfg, memo: memo, steps: prefix}
-		err := ex.dfs(root, 0)
-		return ex.rep, err
-	}
 	ex := &undoExplorer{cfg: cfg, memo: memo, steps: prefix}
 	ex.stepper = stepper{topo: cfg.Topo, n: cfg.Topo.N()}
 	ex.reset(root)
@@ -284,8 +252,9 @@ func runSequential(cfg Config) (FaultReport, error) {
 }
 
 // buildRoot constructs and validates the root state. When ExploreInits is
-// false it also applies the implicit upfront init prefix, returning the
-// steps taken so every witness stays self-contained.
+// false it also applies the implicit upfront init prefix on a throwaway
+// stepper, returning the steps taken so every witness stays
+// self-contained.
 func buildRoot(cfg Config) (*state, []Step, error) {
 	n := cfg.Topo.N()
 	ms, err := cfg.NewMachines()
@@ -315,9 +284,11 @@ func buildRoot(cfg Config) (*state, []Step, error) {
 	}
 	var steps []Step
 	if !cfg.ExploreInits {
+		sp := stepper{topo: cfg.Topo, n: n}
+		sp.reset(st)
 		for k := 0; k < n; k++ {
 			steps = append(steps, Step{Init: k, Chan: -1})
-			if err := st.initNode(cfg.Topo, k); err != nil {
+			if _, err := sp.apply(steps[k]); err != nil {
 				return nil, nil, wrapWitness(err, steps)
 			}
 		}
@@ -358,9 +329,9 @@ func (st *state) clone() *state {
 	return cp
 }
 
-// collector implements node.Emitter against the state's queues. When log
-// is set, every incremented channel id is recorded there so the undo
-// engine can revert the sends of one handler invocation.
+// collector implements node.Emitter against the state's queues. Every
+// incremented channel id is recorded on log so the stepper can revert the
+// sends of one handler invocation.
 type collector struct {
 	topo ring.Topology
 	st   *state
@@ -381,50 +352,7 @@ func (c *collector) Send(p pulse.Port, _ pulse.Pulse) {
 	if fx := c.st.fx; fx != nil && fx.windowed {
 		fx.sendCnt[ch]++
 	}
-	if c.log != nil {
-		*c.log = append(*c.log, int32(ch))
-	}
-}
-
-func (st *state) initNode(topo ring.Topology, k int) error {
-	st.inited[k] = true
-	if fx := st.fx; fx != nil && fx.windowed {
-		fx.handlerCnt[k]++
-	}
-	col := &collector{topo: topo, st: st, from: k}
-	st.ms[k].Init(col)
-	if col.err != nil {
-		return col.err
-	}
-	return st.afterHandler(k)
-}
-
-func (st *state) deliver(topo ring.Topology, c int) error {
-	k, p := c/2, pulse.Port(c%2)
-	st.queues[c]--
-	if fx := st.fx; fx != nil && fx.windowed {
-		fx.delivCnt[c]++
-		fx.handlerCnt[k]++
-	}
-	col := &collector{topo: topo, st: st, from: k}
-	st.ms[k].OnMsg(p, pulse.Pulse{}, col)
-	if col.err != nil {
-		return col.err
-	}
-	return st.afterHandler(k)
-}
-
-// apply executes one step through the allocating (non-undo) path: the
-// clone engine's branches and the parallel explorer's spawned subtree
-// roots, both of which own a private copy of the state.
-func (st *state) apply(topo ring.Topology, s Step) error {
-	if s.Fault != 0 {
-		return st.applyFault(topo, s)
-	}
-	if s.Init >= 0 {
-		return st.initNode(topo, s.Init)
-	}
-	return st.deliver(topo, s.Chan)
+	*c.log = append(*c.log, int32(ch))
 }
 
 func (st *state) afterHandler(k int) error {
@@ -438,125 +366,6 @@ func (st *state) afterHandler(k int) error {
 	return nil
 }
 
-// choices enumerates the schedulable events of st: inits in ascending
-// node order, then deliveries in ascending channel order — the canonical
-// schedule order that witnesses and "first error" are defined against.
-// Crashed nodes consume nothing, so deliveries toward them are excluded
-// (their pulses stay queued, undeliverable until a Restart revives them).
-func (st *state) choices() (inits []int, delivers []int) {
-	for k, in := range st.inited {
-		if !in {
-			inits = append(inits, k)
-		}
-	}
-	for c, q := range st.queues {
-		if q == 0 {
-			continue
-		}
-		k := c / 2
-		if !st.inited[k] {
-			continue
-		}
-		if st.fx != nil && st.fx.crashed[k] {
-			continue
-		}
-		s := st.ms[k].Status()
-		if s.Terminated || !st.ms[k].Ready(pulse.Port(c%2)) {
-			continue
-		}
-		delivers = append(delivers, c)
-	}
-	return inits, delivers
-}
-
-// cloneExplorer is the reference engine: the pre-undo implementation that
-// deep-copies the machine slice per branch and allocates its choice lists
-// and collectors per state. The undo engine is proven against it by the
-// clone-vs-undo differential test; the Exhaustive benchmarks keep it as
-// the comparison baseline.
-type cloneExplorer struct {
-	cfg    Config
-	memo   memoTable
-	rep    FaultReport
-	steps  []Step // schedule from the root to the current state
-	keyBuf []byte // reusable buffer for fingerprint and state-key encoding
-}
-
-func (ex *cloneExplorer) dfs(st *state, depth int) error {
-	var fp uint64
-	fp, ex.keyBuf = stateFingerprint(st, ex.keyBuf)
-	var key []byte
-	if ex.cfg.Memo.keyed() {
-		ex.keyBuf = appendStateKey(ex.keyBuf[:0], st)
-		key = ex.keyBuf
-	}
-	added, merr := ex.memo.insert(fp, key)
-	if merr != nil {
-		return wrapWitness(merr, ex.steps)
-	}
-	if !added {
-		return nil
-	}
-	if ex.rep.StatesVisited >= ex.cfg.MaxStates {
-		return wrapWitness(fmt.Errorf("%w (%d)", ErrStateBudget, ex.cfg.MaxStates), ex.steps)
-	}
-	if depth > maxDepth {
-		return depthError(depth, ex.steps)
-	}
-	ex.rep.StatesVisited++
-	if depth > ex.rep.MaxDepth {
-		ex.rep.MaxDepth = depth
-	}
-
-	inits, delivers := st.choices()
-	if len(inits) == 0 && len(delivers) == 0 {
-		ex.rep.TerminalStates++
-		out, verr := terminalOutcomeOf(st, ex.cfg.Check)
-		if st.fx.faulted() {
-			ex.rep.countTerminal(out)
-		} else if verr != nil {
-			return wrapWitness(verr, ex.steps)
-		}
-	}
-
-	for _, k := range inits {
-		if err := ex.branch(st, depth, Step{Init: k, Chan: -1}); err != nil {
-			return err
-		}
-	}
-	for _, c := range delivers {
-		if err := ex.branch(st, depth, Step{Init: -1, Chan: c}); err != nil {
-			return err
-		}
-	}
-	if fx := st.fx; fx != nil && len(fx.log) < fx.plan.Budget {
-		for _, v := range appendFaultChoices(st, nil) {
-			ex.rep.InjectionEdges++
-			if err := ex.branch(st, depth, decodeChoice(len(st.ms), v)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// branch clones st, applies one step on the copy, and recurses. A step
-// whose handler violates on an already-faulted path is a pruned outcome
-// (ViolationEdges), not a failure.
-func (ex *cloneExplorer) branch(st *state, depth int, step Step) error {
-	next := st.clone()
-	ex.steps = append(ex.steps, step)
-	defer func() { ex.steps = ex.steps[:len(ex.steps)-1] }()
-	if err := next.apply(ex.cfg.Topo, step); err != nil {
-		if errors.Is(err, ErrViolation) && next.fx.faulted() {
-			ex.rep.ViolationEdges++
-			return nil
-		}
-		return wrapWitness(err, ex.steps)
-	}
-	return ex.dfs(next, depth+1)
-}
-
 // countTerminal records the classification of one faulted terminal state.
 func (rep *FaultReport) countTerminal(out int) {
 	switch out {
@@ -567,31 +376,4 @@ func (rep *FaultReport) countTerminal(out int) {
 	case terminalStalled:
 		rep.StalledTerminals++
 	}
-}
-
-// terminalOutcomeOf classifies a choice-free state, allocating its Final
-// slices: the clone engine's counterpart of stepper.terminalOutcome.
-func terminalOutcomeOf(st *state, check func(Final) error) (int, error) {
-	var queued uint32
-	for _, q := range st.queues {
-		queued += q
-	}
-	if queued > 0 {
-		return terminalStalled, fmt.Errorf("%w: %d pulses undeliverable", ErrStalled, queued)
-	}
-	if check == nil {
-		return terminalClean, nil
-	}
-	f := Final{Sent: st.sent, Quiescent: true}
-	for k, m := range st.ms {
-		s := m.Status()
-		f.Statuses = append(f.Statuses, s)
-		if s.State == node.StateLeader {
-			f.Leaders = append(f.Leaders, k)
-		}
-	}
-	if err := check(f); err != nil {
-		return terminalDegraded, fmt.Errorf("%w: %v", ErrViolation, err)
-	}
-	return terminalClean, nil
 }

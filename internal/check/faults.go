@@ -5,7 +5,6 @@ import (
 
 	"coleader/internal/fault"
 	"coleader/internal/node"
-	"coleader/internal/ring"
 )
 
 // Fault-aware exploration. ExhaustiveFaults branches not only over
@@ -343,54 +342,11 @@ func appendFaultChoices(st *state, arena []int32) []int32 {
 	return arena
 }
 
-// applyFault executes a fault step through the allocating (non-undo) path:
-// the clone engine's branches and the parallel explorer's spawned subtree
-// roots. Mirrors stepper.applyFault.
-func (st *state) applyFault(topo ring.Topology, s Step) error {
-	fx := st.fx
-	fx.note(s)
-	switch s.Fault {
-	case fault.Loss:
-		st.queues[s.Chan]--
-		st.sent--
-		return nil
-	case fault.Dup, fault.Spurious:
-		st.queues[s.Chan]++
-		st.sent++
-		return nil
-	case fault.Crash:
-		fx.crashed[s.Init] = true
-		return nil
-	case fault.Restart:
-		k := s.Init
-		fx.crashed[k] = false
-		st.ms[k].Restore(fx.initSnaps[k])
-		if fx.windowed {
-			fx.handlerCnt[k]++
-		}
-		col := &collector{topo: topo, st: st, from: k}
-		st.ms[k].Init(col)
-		if col.err != nil {
-			return col.err
-		}
-		return st.afterHandler(k)
-	case fault.Corrupt:
-		k := s.Init
-		snap := st.ms[k].SnapshotTo(nil)
-		if len(snap) > 0 {
-			snap[len(snap)-1] ^= s.Mask
-			st.ms[k].Restore(snap)
-		}
-		return st.afterHandler(k)
-	}
-	return fmt.Errorf("check: unknown fault class %v", s.Fault)
-}
-
-// applyFault executes a fault step in place with an undo frame, mirroring
-// state.applyFault. Like stepper.apply, a failed application leaves the
-// state fully logged and revertible: the machine snapshot precedes the
-// handler, sends are on the send log, and the injection is on the path
-// log, so revert restores the pre-step state exactly.
+// applyFault executes a fault step in place with an undo frame. Like
+// stepper.apply, a failed application leaves the state fully logged and
+// revertible: the machine snapshot precedes the handler, sends are on the
+// send log, and the injection is on the path log, so revert restores the
+// pre-step state exactly.
 func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 	st := sp.st
 	fx := st.fx

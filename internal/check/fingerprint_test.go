@@ -1,6 +1,7 @@
 package check
 
 import (
+	"bytes"
 	"testing"
 
 	"coleader/internal/core"
@@ -99,7 +100,10 @@ func fpCases() []fpCase {
 // TestIncrementalFingerprintExact: after every apply (successful or not)
 // and every revert, the stepper's running component sum, its per-machine
 // terms and the fingerprint built from them equal a from-scratch
-// recomputation (componentSum, stateFingerprint) of the current state.
+// recomputation (componentSum, stateFingerprint) of the current state,
+// and every revert restores the full state key the apply started from
+// byte for byte, so undo is exact on the parts of the state the
+// fingerprint only hashes (the fault section, crashed bits included).
 // Each case walks its state graph depth-first, memoized, to a bounded
 // depth and a bounded number of applied steps, so divergent fault classes
 // stay finite and still branch at many injection positions.
@@ -164,6 +168,7 @@ func TestIncrementalFingerprintExact(t *testing.T) {
 				}
 				for i := base; i < end && applies < maxApplies; i++ {
 					step := sp.stepAt(i)
+					before := append([]byte(nil), sp.key()...)
 					fr, err := sp.apply(step)
 					applies++
 					if step.Fault != 0 {
@@ -177,6 +182,9 @@ func TestIncrementalFingerprintExact(t *testing.T) {
 					}
 					sp.revert(fr)
 					same("after revert " + step.String())
+					if !bytes.Equal(sp.key(), before) {
+						t.Fatalf("revert of %v did not restore the state key", step)
+					}
 				}
 				sp.popChoices(base)
 			}

@@ -159,8 +159,8 @@ func finishFingerprint(sum uint64, st *state, buf []byte) (uint64, []byte) {
 }
 
 // stateFingerprint is the from-scratch memo fingerprint of st: the
-// oracle the stepper's running sum is kept equal to, and the clone
-// engine's fingerprint. buf is encoding scratch, returned grown.
+// oracle the stepper's running sum is kept equal to in tests. buf is
+// encoding scratch, returned grown.
 func stateFingerprint(st *state, buf []byte) (uint64, []byte) {
 	sum, buf := componentSum(st, nil, buf)
 	return finishFingerprint(sum, st, buf)

@@ -7,10 +7,11 @@ import (
 )
 
 // The parallel explorer shares subtrees across workers: a worker running
-// depth-first over its own mutable state (a stepper) peels off branches as
-// cloned subtree-root tasks whenever the shared queue runs low, and
-// otherwise recurses in place with undo. The visited set is the sharded
-// memo table.
+// depth-first over its own mutable state (a stepper) applies each branch
+// in place and, whenever the shared queue runs low, hands the successor
+// off as a deep-copied subtree-root task instead of recursing into it;
+// either way it reverts the step afterwards. The visited set is the
+// sharded memo table.
 //
 // Determinism contract. On success the Report is exact, not approximate:
 // every path from the root to a state S has the same length (each step
@@ -166,21 +167,6 @@ func (p *parExplorer) dfs(sp *stepper, depth int) {
 		if step.Fault != 0 {
 			p.injEdges.Add(1)
 		}
-		if p.starving() {
-			// Peel this branch off as a shareable task instead of
-			// recursing: clone the state and apply the step on the copy.
-			succ := sp.st.clone()
-			if err := succ.apply(p.cfg.Topo, step); err != nil {
-				if errors.Is(err, ErrViolation) && succ.fx.faulted() {
-					p.violEdges.Add(1)
-					continue
-				}
-				p.fail()
-				return
-			}
-			p.push(parTask{st: succ, depth: depth + 1})
-			continue
-		}
 		fr, err := sp.apply(step)
 		if err != nil {
 			if errors.Is(err, ErrViolation) && sp.st.fx.faulted() {
@@ -191,9 +177,15 @@ func (p *parExplorer) dfs(sp *stepper, depth int) {
 			p.fail()
 			return
 		}
-		p.dfs(sp, depth+1)
-		if p.failed.Load() {
-			return // state and arenas are stale; the run is abandoned
+		if p.starving() {
+			// Peel this branch off as a shareable task instead of
+			// recursing into it.
+			p.push(parTask{st: sp.st.clone(), depth: depth + 1})
+		} else {
+			p.dfs(sp, depth+1)
+			if p.failed.Load() {
+				return // state and arenas are stale; the run is abandoned
+			}
 		}
 		sp.revert(fr)
 	}

@@ -13,8 +13,9 @@ import (
 // scratch storage — the key buffers, the machine-snapshot arena, the
 // send-undo log, and the choice arena — lives here and is reused with
 // stack discipline, so stepping allocates nothing once the arenas have
-// grown to the exploration's depth. Both the sequential undo engine and
-// each parallel worker embed one.
+// grown to the exploration's depth. The sequential explorer and each
+// parallel worker embed one, and buildRoot runs the init prefix on a
+// throwaway one: apply/revert is the package's only way to execute a step.
 //
 // The stepper also keeps the state's component sum (see componentSum)
 // current: apply adds what the step changed and revert restores the sum
@@ -192,9 +193,12 @@ func (sp *stepper) revert(fr undoFrame) {
 
 // pushChoices appends the schedulable events of the current state to the
 // choice arena — inits ascending, then deliveries in channel order, the
-// same canonical order as state.choices — and returns their [base, end)
-// range. Entries survive deeper recursion because descendants only append
-// past end and truncate back; callers restore with popChoices(base).
+// canonical schedule order that witnesses and "first error" are defined
+// against — and returns their [base, end) range. Crashed nodes consume
+// nothing, so deliveries toward them are excluded (their pulses stay
+// queued until a Restart revives them). Entries survive deeper recursion
+// because descendants only append past end and truncate back; callers
+// restore with popChoices(base).
 func (sp *stepper) pushChoices() (base, end int) {
 	base = len(sp.choiceArena)
 	for k, in := range sp.st.inited {
@@ -272,8 +276,8 @@ func (sp *stepper) terminalOutcome(check func(Final) error) (int, error) {
 	return terminalClean, nil
 }
 
-// undoExplorer is the default sequential engine: depth-first over one
-// mutable state, backtracking through the stepper's undo frames instead of
+// undoExplorer is the sequential engine: depth-first over one mutable
+// state, backtracking through the stepper's undo frames instead of
 // cloning per branch.
 type undoExplorer struct {
 	stepper

@@ -6,7 +6,6 @@ import (
 
 	"coleader/internal/fault"
 	"coleader/internal/pulse"
-	"coleader/internal/ring"
 	"coleader/internal/sim"
 )
 
@@ -104,13 +103,4 @@ func Replay(cfg Config, steps []Step, obs ...sim.Observer[pulse.Pulse]) (sim.Res
 		}
 	}
 	return s.Result(), nil
-}
-
-// initSteps returns the implicit upfront-init prefix for a topology.
-func initSteps(t ring.Topology) []Step {
-	steps := make([]Step, t.N())
-	for k := range steps {
-		steps[k] = Step{Init: k, Chan: -1}
-	}
-	return steps
 }

@@ -49,9 +49,9 @@ type PulseMachine = Machine[pulse.Pulse]
 type PulseEmitter = Emitter[pulse.Pulse]
 
 // Cloneable is implemented by machines that support exhaustive schedule
-// exploration (internal/check), together with Undoable: the explorer
-// deep-copies the state whenever it hands a subtree to another worker (or,
-// in its reference engine, on every branch).
+// exploration (internal/check), together with Undoable: the parallel
+// explorer deep-copies the state whenever it hands a subtree to another
+// worker.
 type Cloneable[M any] interface {
 	Machine[M]
 

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -11,16 +12,21 @@ import (
 	"coleader/internal/sim"
 )
 
-// rogue follows Canonical until pick offers a channel, then returns that
-// channel: a scheduler breaking Next's contract at a chosen moment.
+// rogue follows Canonical until pick offers a channel, returns that
+// channel once, and follows Canonical again after: a scheduler breaking
+// Next's contract at one chosen moment.
 type rogue struct {
-	s    *sim.Sim[pulse.Pulse]
-	pick func(s *sim.Sim[pulse.Pulse], v sim.View) (c int, ok bool)
+	s     *sim.Sim[pulse.Pulse]
+	pick  func(s *sim.Sim[pulse.Pulse], v sim.View) (c int, ok bool)
+	fired bool
 }
 
 func (r *rogue) Next(v sim.View) int {
-	if c, ok := r.pick(r.s, v); ok {
-		return c
+	if !r.fired {
+		if c, ok := r.pick(r.s, v); ok {
+			r.fired = true
+			return c
+		}
 	}
 	return sim.Canonical{}.Next(v)
 }
@@ -47,7 +53,8 @@ func queuedNotDeliverable(s *sim.Sim[pulse.Pulse], v sim.View, want func(k int, 
 // engine's structured error for that choice, on the pulse-by-pulse
 // path, the batched path and the rescan reference, and never panics. The texts are the ones the
 // engine reported before RunDeliveries validated choices with one
-// deliverable-set test.
+// deliverable-set test. The error is sticky: a second Run returns it
+// again even though the scheduler has gone back to valid choices.
 func TestRogueSchedulerErrors(t *testing.T) {
 	ids := []uint64{3, 1, 4, 2, 5}
 	n := len(ids)
@@ -140,6 +147,9 @@ func TestRogueSchedulerErrors(t *testing.T) {
 				_, err = s.RunDeliveries(1 << 16)
 				if err == nil || err.Error() != tc.want {
 					t.Fatalf("RunDeliveries error %v, want %q", err, tc.want)
+				}
+				if _, again := s.Run(1 << 16); !errors.Is(again, err) {
+					t.Fatalf("second Run error %v, want the first run's %q", again, tc.want)
 				}
 			})
 		}

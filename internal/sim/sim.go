@@ -997,14 +997,16 @@ func (s *Sim[M]) RunDeliveries(limit uint64) (Result, error) {
 		c := s.sched.Next(&view)
 		if s.batch {
 			if err := s.deliverRun(c, limit-s.step); err != nil {
-				return s.Result(), err
+				return s.Result(), s.fail(err)
 			}
 			continue
 		}
 		// A choice in the deliverable set passes all of Deliver's checks;
 		// any other choice (and every choice on the rescan reference)
 		// takes the checked path, so a rogue scheduler gets Deliver's
-		// error.
+		// error. Both paths' errors are made sticky here, though a manual
+		// Deliver's choice errors are not: a scheduler that broke its
+		// contract ends the run.
 		var err error
 		if !s.rescan && uint(c) < uint(len(s.queues)) && s.deliv.get(c) {
 			err = s.deliver(c)
@@ -1012,7 +1014,7 @@ func (s *Sim[M]) RunDeliveries(limit uint64) (Result, error) {
 			err = s.Deliver(c)
 		}
 		if err != nil {
-			return s.Result(), err
+			return s.Result(), s.fail(err)
 		}
 	}
 }

@@ -189,33 +189,3 @@ func (r *Recorder) JSON() ([]byte, error) {
 	}{Events: len(r.Events), Log: r.Events}
 	return json.MarshalIndent(doc, "", "  ")
 }
-
-// Stats aggregates running counters useful to the experiment harness.
-type Stats struct {
-	Deliveries   uint64
-	Inits        uint64
-	MaxQueueLen  int
-	PerNodeRecvd []uint64
-}
-
-// NewStats returns a Stats observer for an n-node ring.
-func NewStats(n int) *Stats {
-	return &Stats{PerNodeRecvd: make([]uint64, n)}
-}
-
-// OnEvent implements sim.Observer.
-func (st *Stats) OnEvent(e *sim.Event, s *sim.Sim[pulse.Pulse]) error {
-	switch e.Kind {
-	case sim.EvInit:
-		st.Inits++
-	case sim.EvDeliver:
-		st.Deliveries++
-		st.PerNodeRecvd[e.Node]++
-	}
-	for c := 0; c < 2*s.Topology().N(); c++ {
-		if l := s.QueueLen(c); l > st.MaxQueueLen {
-			st.MaxQueueLen = l
-		}
-	}
-	return nil
-}

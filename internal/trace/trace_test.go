@@ -182,44 +182,6 @@ func TestRecorder(t *testing.T) {
 	}
 }
 
-// TestStats checks delivery counting and queue high-water marks.
-func TestStats(t *testing.T) {
-	ids := []uint64{3, 5, 1}
-	topo, err := ring.Oriented(len(ids))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := core.Alg1Machines(topo, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := trace.NewStats(len(ids))
-	s, err := sim.New(topo, ms, sim.Newest{}, sim.WithObserver[pulse.Pulse](st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Deliveries != res.Delivered {
-		t.Errorf("stats deliveries %d != result %d", st.Deliveries, res.Delivered)
-	}
-	if st.Inits != 3 {
-		t.Errorf("inits = %d, want 3", st.Inits)
-	}
-	var sum uint64
-	for _, c := range st.PerNodeRecvd {
-		sum += c
-	}
-	if sum != res.Delivered {
-		t.Errorf("per-node receive sum %d != %d", sum, res.Delivered)
-	}
-	if st.MaxQueueLen < 1 {
-		t.Error("max queue length never reached 1")
-	}
-}
-
 // TestRecorderJSON: the machine-readable export round-trips through
 // encoding/json with the right event count.
 func TestRecorderJSON(t *testing.T) {
