@@ -151,10 +151,10 @@ func (s *Sim[M]) enqueueRun(c int, n uint64, dir pulse.Direction) {
 		return
 	}
 	if s.deliv.get(c) {
-		// Head unchanged; re-register for count-keyed heaps only (the
-		// head-keyed ones dedup this push).
-		if len(s.aux) > 0 {
-			s.auxPush(c, q.front().seq)
+		// Head unchanged; only the count-keyed HeapHeaviest heap
+		// re-registers.
+		if s.heavy != nil {
+			s.heavyPush(c, q.front().seq)
 		}
 		s.reweigh(c, int64(q.tot))
 	}

@@ -23,24 +23,17 @@ type View interface {
 	Step() uint64
 }
 
-// OldestView is an optional fast path a View may provide: the channel
-// holding the globally oldest deliverable message in O(log n), backed by
-// the simulator's incrementally maintained heap. Sequence numbers are
-// unique, so the answer is exactly the channel a min-HeadSeq scan over
-// Deliverable() selects — schedulers using it make identical decisions,
-// just faster. ok is false when the fast path is unavailable (the rescan
-// reference simulator), in which case callers must fall back to the scan.
-type OldestView interface {
-	OldestDeliverable() (c int, ok bool)
-}
-
 // HeapKind selects the ordering of a scheduler aux heap (see HeapHinted).
 type HeapKind uint8
 
 // Aux heap orderings.
 const (
+	// HeapOldest: smallest head sequence number first (Canonical's
+	// pick). Sequence numbers are unique, so it is exactly the channel a
+	// min-HeadSeq scan over Deliverable() selects.
+	HeapOldest HeapKind = iota + 1
 	// HeapNewest: largest head sequence number first (Newest's pick).
-	HeapNewest HeapKind = iota + 1
+	HeapNewest
 	// HeapDirOldest: smallest head sequence number among messages
 	// traveling a fixed direction (DirBiased's preferred-direction pick).
 	HeapDirOldest
@@ -58,54 +51,34 @@ const (
 // behalf.
 type HeapHint struct {
 	Kind HeapKind
-	Dir  pulse.Direction                // HeapDirOldest only
+	Dir  pulse.Direction                // HeapDirOldest only: CW or CCW
 	Rank func(c int, seq uint64) uint64 // HeapRank only; must be pure
 }
 
 // HeapHinted is implemented by schedulers that want aux heaps: the
-// simulator consults it once at construction (never in rescan mode, so
-// the rescan reference exercises the plain scans) and serves the heaps
-// back through the NewestView / DirOldestView / RankedView /
-// HeaviestView fast paths. A heap-served pick must equal the
-// corresponding Deliverable() scan's pick exactly — the
-// optimized-vs-rescan scheduler-trace differential asserts this for
-// every stock scheduler. A scheduler wrapper that drops this interface
-// silently sends its inner scheduler back to the scan. WeightedView
-// needs no hint, so it survives such wrappers.
+// simulator consults it once at construction, rejects a malformed hint
+// with ErrHeapHint, and serves the heaps back through HeapView (except
+// in rescan mode, which builds none, so the rescan reference exercises
+// the plain scans). A
+// heap-served pick must equal the corresponding Deliverable() scan's
+// pick exactly — the optimized-vs-rescan scheduler-trace differential
+// asserts this for every stock scheduler. A scheduler wrapper that drops
+// this interface silently sends its inner scheduler back to the scan.
+// WeightedView needs no hint, so it survives such wrappers.
 type HeapHinted interface {
 	HeapHints() []HeapHint
 }
 
-// NewestView is an optional fast path: the deliverable channel whose
-// head has the largest sequence number, in O(log n). ok is false when
-// the fast path is unavailable and the caller must scan.
-type NewestView interface {
-	NewestDeliverable() (c int, ok bool)
-}
-
-// DirOldestView is an optional fast path: the deliverable channel with
-// the smallest head sequence number among messages traveling d. ok is
-// false when the fast path is unavailable (fall back to the scan);
-// c = -1 with ok true means the fast path is live and no deliverable
-// message travels d at all.
-type DirOldestView interface {
-	OldestDeliverableDir(d pulse.Direction) (c int, ok bool)
-}
-
-// RankedView is an optional fast path: the deliverable channel
-// minimizing the rank function the scheduler registered via a HeapRank
-// hint, with ties broken toward the smaller channel id (the scan's
-// tie-break). ok is false when the fast path is unavailable.
-type RankedView interface {
-	MinRankDeliverable() (c int, ok bool)
-}
-
-// HeaviestView is an optional fast path: the deliverable channel with
-// the most queued pulses, ties toward the oldest head and then the
-// smaller channel id (the scan's tie-break). ok is false when the fast
-// path is unavailable.
-type HeaviestView interface {
-	HeaviestDeliverable() (c int, ok bool)
+// HeapView is an optional fast path a View may provide: the pick of the
+// heap a HeapHint of the given kind (and, for HeapDirOldest, direction
+// d) asked for, in O(log n) amortized. ok is false when there is no
+// such heap — the kind was not hinted, or the simulator is the rescan
+// reference — and the caller must scan. c is the channel the kind's
+// Deliverable() scan picks (each kind's doc names its order and
+// tie-break), or -1 when the heap is live but no channel it covers is
+// deliverable, which while Next runs only a HeapDirOldest heap can be.
+type HeapView interface {
+	HeapBest(kind HeapKind, d pulse.Direction) (c int, ok bool)
 }
 
 // WeightedView is an optional fast path for Random's pick, backed by a
@@ -130,40 +103,20 @@ type WeightedView interface {
 type view[M any] struct{ s *Sim[M] }
 
 func (v *view[M]) Deliverable() []int              { return v.s.Deliverable() }
-func (v *view[M]) HeadSeq(c int) uint64            { return v.s.headSeq(c) }
+func (v *view[M]) HeadSeq(c int) uint64            { return v.s.queues[c].front().seq }
 func (v *view[M]) QueueLen(c int) int              { return v.s.QueueLen(c) }
 func (v *view[M]) Direction(c int) pulse.Direction { return v.s.chanDir[c] }
 func (v *view[M]) Step() uint64                    { return v.s.step }
-func (v *view[M]) OldestDeliverable() (int, bool)  { return v.s.oldestDeliverable() }
 
-func (v *view[M]) NewestDeliverable() (int, bool) {
-	if i := v.s.auxFind(HeapNewest, 0); i >= 0 {
-		return v.s.auxBest(i)
+func (v *view[M]) HeapBest(kind HeapKind, d pulse.Direction) (int, bool) {
+	s := v.s
+	for i := range s.aux {
+		if a := &s.aux[i]; a.sameHeap(HeapHint{Kind: kind, Dir: d}) {
+			return s.auxBest(a), true
+		}
 	}
-	return 0, false
-}
-
-func (v *view[M]) OldestDeliverableDir(d pulse.Direction) (int, bool) {
-	i := v.s.auxFind(HeapDirOldest, d)
-	if i < 0 {
-		return 0, false
-	}
-	if c, ok := v.s.auxBest(i); ok {
-		return c, true
-	}
-	return -1, true
-}
-
-func (v *view[M]) MinRankDeliverable() (int, bool) {
-	if i := v.s.auxFind(HeapRank, 0); i >= 0 {
-		return v.s.auxBest(i)
-	}
-	return 0, false
-}
-
-func (v *view[M]) HeaviestDeliverable() (int, bool) {
-	if i := v.s.auxFind(HeapHeaviest, 0); i >= 0 {
-		return v.s.auxBest(i)
+	if kind == HeapHeaviest && s.heavy != nil {
+		return s.heavyBest(), true
 	}
 	return 0, false
 }
@@ -196,6 +149,16 @@ type Scheduler interface {
 	Next(v View) int
 }
 
+// heapBest is v's HeapView pick for the heap of the given kind, ok false
+// when v has none and the caller must scan. It is written to stay within
+// the inliner's budget, so a heap-served Next pays no extra call.
+func heapBest(v View, kind HeapKind, d pulse.Direction) (c int, ok bool) {
+	if hv, is := v.(HeapView); is {
+		c, ok = hv.HeapBest(kind, d)
+	}
+	return c, ok
+}
+
 // Canonical is the scheduler of Definition 21: messages are delivered one
 // by one in exactly the order they were sent, with ties among messages
 // emitted by the same handler broken in favor of clockwise ones (the
@@ -205,10 +168,8 @@ type Canonical struct{}
 
 // Next implements Scheduler.
 func (Canonical) Next(v View) int {
-	if ov, ok := v.(OldestView); ok {
-		if c, ok := ov.OldestDeliverable(); ok {
-			return c
-		}
+	if c, ok := heapBest(v, HeapOldest, 0); ok {
+		return c
 	}
 	ds := v.Deliverable()
 	best := ds[0]
@@ -220,6 +181,9 @@ func (Canonical) Next(v View) int {
 	return best
 }
 
+// HeapHints implements HeapHinted: a min-sequence heap replaces the scan.
+func (Canonical) HeapHints() []HeapHint { return []HeapHint{{Kind: HeapOldest}} }
+
 // Newest delivers the most recently sent deliverable message first
 // (subject to per-channel FIFO): a maximally "unfair" adversary that lets
 // old messages linger arbitrarily long.
@@ -227,10 +191,8 @@ type Newest struct{}
 
 // Next implements Scheduler.
 func (Newest) Next(v View) int {
-	if nv, ok := v.(NewestView); ok {
-		if c, ok := nv.NewestDeliverable(); ok {
-			return c
-		}
+	if c, ok := heapBest(v, HeapNewest, 0); ok {
+		return c
 	}
 	ds := v.Deliverable()
 	best := ds[0]
@@ -272,10 +234,8 @@ type Heaviest struct{}
 
 // Next implements Scheduler.
 func (Heaviest) Next(v View) int {
-	if hv, ok := v.(HeaviestView); ok {
-		if c, ok := hv.HeaviestDeliverable(); ok {
-			return c
-		}
+	if c, ok := heapBest(v, HeapHeaviest, 0); ok {
+		return c
 	}
 	ds := v.Deliverable()
 	best, qb := ds[0], v.QueueLen(ds[0])
@@ -358,16 +318,13 @@ type DirBiased struct {
 
 // Next implements Scheduler.
 func (d DirBiased) Next(v View) int {
-	if dv, ok := v.(DirOldestView); ok {
-		if c, ok := dv.OldestDeliverableDir(d.Prefer); ok {
-			if c >= 0 {
-				return c
-			}
-			// Fast path live, no preferred-direction candidate: fall
-			// through to the canonical pick, same as the scan's "not
-			// found" branch.
-			return Canonical{}.Next(v)
+	if c, ok := heapBest(v, HeapDirOldest, d.Prefer); ok {
+		if c >= 0 {
+			return c
 		}
+		// Heap live, no preferred-direction candidate: fall through to
+		// the canonical pick, same as the scan's "not found" branch.
+		return Canonical{}.Next(v)
 	}
 	ds := v.Deliverable()
 	best, found := 0, false
@@ -386,10 +343,10 @@ func (d DirBiased) Next(v View) int {
 }
 
 // HeapHints implements HeapHinted: a per-direction oldest heap over the
-// preferred direction replaces the scan (the fallback pick rides the
-// canonical oldest heap that is always maintained).
+// preferred direction replaces the scan, and Canonical's oldest heap
+// serves the fallback pick.
 func (d DirBiased) HeapHints() []HeapHint {
-	return []HeapHint{{Kind: HeapDirOldest, Dir: d.Prefer}}
+	return []HeapHint{{Kind: HeapDirOldest, Dir: d.Prefer}, {Kind: HeapOldest}}
 }
 
 // Laggy alternates bursts of canonical delivery with bursts of random
@@ -398,7 +355,8 @@ func (d DirBiased) HeapHints() []HeapHint {
 // ("flaky"), it never drops or corrupts anything — a scheduler only reorders
 // delivery; actual pulse loss, duplication, and injection live in
 // internal/fault and attach via WithFaultPlane. Storm bursts take the
-// inner Random's WeightedView pick; canonical bursts ride the oldest heap.
+// inner Random's WeightedView pick; canonical bursts take Canonical's
+// HeapOldest heap, which Laggy hints on its behalf.
 type Laggy struct {
 	rng    *rand.Rand
 	stormy bool
@@ -424,6 +382,10 @@ func (f *Laggy) Next(v View) int {
 	return Canonical{}.Next(v)
 }
 
+// HeapHints implements HeapHinted: Canonical's hint, for the canonical
+// bursts.
+func (*Laggy) HeapHints() []HeapHint { return Canonical{}.HeapHints() }
+
 // HashDelay assigns every message a pseudo-random "delay rank" derived
 // from hashing (seed, channel, sequence number) and always delivers the
 // deliverable head with the smallest rank. Unlike Random it fixes each
@@ -438,10 +400,8 @@ func NewHashDelay(seed int64) HashDelay { return HashDelay{seed: uint64(seed)} }
 
 // Next implements Scheduler.
 func (h HashDelay) Next(v View) int {
-	if rv, ok := v.(RankedView); ok {
-		if c, ok := rv.MinRankDeliverable(); ok {
-			return c
-		}
+	if c, ok := heapBest(v, HeapRank, 0); ok {
+		return c
 	}
 	ds := v.Deliverable()
 	best, bestRank := ds[0], h.rank(ds[0], v.HeadSeq(ds[0]))

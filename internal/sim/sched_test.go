@@ -1,9 +1,11 @@
 package sim_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"coleader/internal/core"
 	"coleader/internal/node"
 	"coleader/internal/pulse"
 	"coleader/internal/sim"
@@ -200,5 +202,84 @@ func TestSimAccessors(t *testing.T) {
 	}
 	if s.Step() != 2 {
 		t.Errorf("Step = %d, want 2 (two inits)", s.Step())
+	}
+}
+
+// hintedSched asks for the given heaps and picks the lowest deliverable
+// channel by scan.
+type hintedSched struct{ hints []sim.HeapHint }
+
+func (h hintedSched) Next(v sim.View) int       { return v.Deliverable()[0] }
+func (h hintedSched) HeapHints() []sim.HeapHint { return h.hints }
+
+// TestMalformedHeapHintsRejected: New and NewFlat reject a hint the
+// simulator cannot serve with ErrHeapHint, on the optimized engine and
+// the rescan reference alike, instead of building a useless heap or
+// panicking inside Run; well-formed hints still run to quiescence.
+func TestMalformedHeapHintsRejected(t *testing.T) {
+	rank := func(c int, seq uint64) uint64 { return seq ^ uint64(c) }
+	cases := []struct {
+		name  string
+		hints []sim.HeapHint
+		bad   bool
+	}{
+		{"rank-without-func", []sim.HeapHint{{Kind: sim.HeapRank}}, true},
+		{"kind-zero", []sim.HeapHint{{Kind: 0}}, true},
+		{"kind-99", []sim.HeapHint{{Kind: 99}}, true},
+		{"dir-oldest-dir-7", []sim.HeapHint{{Kind: sim.HeapDirOldest, Dir: 7}}, true},
+		{"dir-oldest-no-dir", []sim.HeapHint{{Kind: sim.HeapDirOldest}}, true},
+		{"oldest-twice", []sim.HeapHint{{Kind: sim.HeapOldest}, {Kind: sim.HeapOldest}}, true},
+		{"heaviest-twice", []sim.HeapHint{{Kind: sim.HeapHeaviest}, {Kind: sim.HeapHeaviest}}, true},
+		{"dir-oldest-cw-twice", []sim.HeapHint{
+			{Kind: sim.HeapDirOldest, Dir: pulse.CW}, {Kind: sim.HeapDirOldest, Dir: pulse.CW}}, true},
+		{"every-kind", []sim.HeapHint{
+			{Kind: sim.HeapOldest}, {Kind: sim.HeapNewest},
+			{Kind: sim.HeapDirOldest, Dir: pulse.CW}, {Kind: sim.HeapDirOldest, Dir: pulse.CCW},
+			{Kind: sim.HeapRank, Rank: rank}, {Kind: sim.HeapHeaviest}}, false},
+		{"none", nil, false},
+	}
+	const n = 4
+	ids := []uint64{3, 1, 4, 2}
+	for _, tc := range cases {
+		for _, flat := range []bool{false, true} {
+			for _, rescan := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/flat=%v/rescan=%v", tc.name, flat, rescan), func(t *testing.T) {
+					topo := mustTopo(t, n)
+					var opts []sim.Option[pulse.Pulse]
+					if rescan {
+						opts = append(opts, sim.WithRescanDeliverable[pulse.Pulse]())
+					}
+					sched := hintedSched{hints: tc.hints}
+					var s *sim.Sim[pulse.Pulse]
+					var err error
+					if flat {
+						bank, berr := core.NewFlatAlg2(topo, ids)
+						if berr != nil {
+							t.Fatal(berr)
+						}
+						s, err = sim.NewFlat(topo, bank, sched, opts...)
+					} else {
+						ms, merr := core.Alg2Machines(topo, ids)
+						if merr != nil {
+							t.Fatal(merr)
+						}
+						s, err = sim.New(topo, ms, sched, opts...)
+					}
+					if tc.bad {
+						if !errors.Is(err, sim.ErrHeapHint) {
+							t.Fatalf("construction error = %v, want ErrHeapHint", err)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := s.Run(1 << 16)
+					if err != nil || !res.Quiescent || res.Leader < 0 {
+						t.Fatalf("run: quiescent=%v leader=%d err=%v", res.Quiescent, res.Leader, err)
+					}
+				})
+			}
+		}
 	}
 }

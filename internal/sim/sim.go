@@ -160,26 +160,13 @@ type Sim[M any] struct {
 	delivCount int
 	rescan     bool
 
-	// oldest is a lazy min-heap over (head sequence number, channel) of
-	// deliverable channels: the canonical scheduler's pick in O(log n)
-	// instead of an O(n) scan. Entries are validated on inspection (the
-	// channel must still be deliverable with that exact head), stale ones
-	// are dropped lazily, and heapSeq deduplicates pushes so each
-	// (channel, seq) pair is enqueued at most once. Maintenance starts at
-	// the first OldestDeliverable consult (oldestOn): schedulers that
-	// never ask — Heaviest, Newest, Random — pay nothing, and the first
-	// consult rebuilds the heap from the live deliverable set, which is
-	// exactly the candidate set continuous maintenance would have kept.
-	oldest   []heapEntry
-	heapSeq  []uint64 // last seq pushed per channel; 0 = none
-	oldestOn bool
-
-	// aux holds the scheduler-requested priority heaps (see HeapHinted):
-	// lazily validated like oldest, but ordered by a per-heap key so
-	// Newest, DirBiased, and HashDelay get their picks in O(log n) too.
-	// Empty unless the scheduler asked, and always empty in rescan mode,
-	// which keeps the rescan reference a heap-free oracle.
-	aux []auxHeap
+	// aux holds the scheduler-requested lazy heaps (see HeapHinted), one
+	// per head-keyed hint, and heavy the HeapHeaviest heap, nil unless
+	// hinted: Canonical, Newest, DirBiased, HashDelay and Heaviest get
+	// their picks in O(log n) instead of an O(n) scan. Both are empty in
+	// rescan mode, which keeps the rescan reference a heap-free oracle.
+	aux   []auxHeap
+	heavy *heavyHeap
 
 	// weights is WeightedView's Fenwick tree (Random's pick): nil until
 	// a scheduler first asks for it, and always nil in rescan mode.
@@ -301,137 +288,6 @@ func (q *fifo[M]) popPulses(m uint64) {
 
 func (q *fifo[M]) front() *entry[M] { return &q.buf[q.head] }
 
-// heapEntry is one candidate in the oldest-deliverable min-heap.
-type heapEntry struct {
-	seq uint64
-	c   int
-}
-
-// heapPush registers (c, seq) in the oldest heap. Callers check
-// oldestOn first: until somebody consults the heap it is not maintained.
-func (s *Sim[M]) heapPush(c int, seq uint64) {
-	if s.heapSeq[c] == seq {
-		return // this exact candidate is already enqueued
-	}
-	if len(s.oldest) >= 2*len(s.queues)+64 {
-		// Stale entries are normally drained by oldestDeliverable, but a
-		// consumer that stops consulting (a direction-biased scheduler
-		// starved of its preferred direction falls back elsewhere) would
-		// otherwise leave one behind per head advance — unbounded growth
-		// on a long run. Rebuilding from the live deliverable heads once
-		// the heap outgrows twice the channel count caps it at
-		// O(channels) for amortized O(1) per push. heapPush runs only
-		// for deliverable heads, so the rebuild re-registers (c, seq)
-		// itself.
-		s.heapCompact()
-		if s.heapSeq[c] == seq {
-			return
-		}
-	}
-	s.heapSeq[c] = seq
-	h := append(s.oldest, heapEntry{seq: seq, c: c})
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent].seq <= h[i].seq {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	s.oldest = h
-}
-
-// heapCompact rebuilds the oldest heap from exactly the live candidate
-// set: every deliverable channel's current head, nothing else.
-func (s *Sim[M]) heapCompact() {
-	h := s.oldest[:0]
-	for i := range s.heapSeq {
-		s.heapSeq[i] = 0
-	}
-	for c := range s.queues {
-		if !s.deliv.get(c) {
-			continue
-		}
-		seq := s.queues[c].front().seq
-		s.heapSeq[c] = seq
-		h = append(h, heapEntry{seq: seq, c: c})
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		for j := i; ; {
-			l, r := 2*j+1, 2*j+2
-			small := j
-			if l < len(h) && h[l].seq < h[small].seq {
-				small = l
-			}
-			if r < len(h) && h[r].seq < h[small].seq {
-				small = r
-			}
-			if small == j {
-				break
-			}
-			h[j], h[small] = h[small], h[j]
-			j = small
-		}
-	}
-	s.oldest = h
-}
-
-// heapDrop removes the root, clearing its dedup mark if it still owns it.
-func (s *Sim[M]) heapDrop() {
-	h := s.oldest
-	top := h[0]
-	if s.heapSeq[top.c] == top.seq {
-		s.heapSeq[top.c] = 0
-	}
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l].seq < h[small].seq {
-			small = l
-		}
-		if r < len(h) && h[r].seq < h[small].seq {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	s.oldest = h
-}
-
-// oldestDeliverable returns the deliverable channel holding the globally
-// oldest (smallest sequence number) deliverable message. Sequence numbers
-// are unique, so this is exactly the channel the canonical scan selects.
-// ok is false in rescan mode, forcing callers onto the reference path.
-func (s *Sim[M]) oldestDeliverable() (c int, ok bool) {
-	if s.rescan {
-		return 0, false
-	}
-	if !s.oldestOn {
-		// First consult: switch maintenance on and seed the heap with the
-		// live candidate set — every deliverable channel's current head,
-		// which is exactly what continuous maintenance would hold (minus
-		// stale entries). Incremental pushes keep it current from here.
-		s.oldestOn = true
-		s.heapCompact()
-	}
-	for len(s.oldest) > 0 {
-		top := s.oldest[0]
-		if s.deliv.get(top.c) && s.queues[top.c].front().seq == top.seq {
-			return top.c, true
-		}
-		s.heapDrop() // stale: delivered already, or channel not deliverable
-	}
-	return 0, false
-}
-
 // bitset indexes channels; word i holds channels 64i..64i+63.
 type bitset []uint64
 
@@ -499,7 +355,6 @@ func newSim[M any](t ring.Topology, sched Scheduler) (*Sim[M], error) {
 		peer:    make([]ring.Endpoint, 2*n),
 		peerCh:  make([]int, 2*n),
 		deliv:   make(bitset, (2*n+63)/64),
-		heapSeq: make([]uint64, 2*n),
 		crashed: make([]bool, n),
 	}
 	for k := 0; k < n; k++ {
@@ -521,13 +376,11 @@ func newSim[M any](t ring.Topology, sched Scheduler) (*Sim[M], error) {
 
 // finish applies options and wires the scheduler's aux heaps; the bank
 // must already be attached (options and hints may consult it).
-func (s *Sim[M]) finish(opts []Option[M]) {
+func (s *Sim[M]) finish(opts []Option[M]) error {
 	for _, o := range opts {
 		o(s)
 	}
-	if !s.rescan {
-		s.installHeapHints()
-	}
+	return s.installHeapHints()
 }
 
 // New builds a simulation of machines on topology t driven by sched.
@@ -541,7 +394,9 @@ func New[M any](t ring.Topology, machines []node.Machine[M], sched Scheduler, op
 		return nil, err
 	}
 	s.machines = machines
-	s.finish(opts)
+	if err := s.finish(opts); err != nil {
+		return nil, err
+	}
 	if err := s.setupBatch(); err != nil {
 		return nil, err
 	}
@@ -570,7 +425,9 @@ func NewFlat[M any](t ring.Topology, bank node.FlatMachine[M], sched Scheduler, 
 		return nil, err
 	}
 	s.flat = bank
-	s.finish(opts)
+	if err := s.finish(opts); err != nil {
+		return nil, err
+	}
 	if err := s.setupBatch(); err != nil {
 		return nil, err
 	}
@@ -705,19 +562,19 @@ func (s *Sim[M]) enqueue(c int, msg M, dir pulse.Direction) {
 		return
 	}
 	if s.deliv.get(c) {
-		// The head is unchanged, so the head-keyed heaps dedup this to
-		// a no-op; only a count-keyed heap (HeapHeaviest) re-registers.
-		// An undeliverable channel weighs 0 before and after the push.
-		if len(s.aux) > 0 {
-			s.auxPush(c, q.front().seq)
+		// The head is unchanged, so only the count-keyed HeapHeaviest
+		// heap re-registers. An undeliverable channel weighs 0 before
+		// and after the push.
+		if s.heavy != nil {
+			s.heavyPush(c, q.front().seq)
 		}
 		s.reweigh(c, int64(q.tot))
 	}
 }
 
 // refreshChan recomputes channel c's bit in the deliverable set and, when
-// deliverable, registers its current head in the oldest-message heap;
-// either way it re-weighs c in the WeightedView tree.
+// deliverable, registers its current head in the aux heaps; either way
+// it re-weighs c in the WeightedView tree.
 func (s *Sim[M]) refreshChan(c int) {
 	k := ChanNode(c)
 	q := &s.queues[c]
@@ -728,11 +585,11 @@ func (s *Sim[M]) refreshChan(c int) {
 			s.deliv.set(c)
 			s.delivCount++
 		}
-		if s.oldestOn {
-			s.heapPush(c, q.front().seq)
-		}
 		if len(s.aux) > 0 {
 			s.auxPush(c, q.front().seq)
+		}
+		if s.heavy != nil {
+			s.heavyPush(c, q.front().seq)
 		}
 		w = int64(q.tot)
 	} else if was {
@@ -946,9 +803,6 @@ func (s *Sim[M]) QueueLen(c int) int { return int(s.queues[c].tot) }
 // batch transitions executed and, of those, how many consumed more than
 // one pulse in a single O(1) step. Both are zero without WithBatching.
 func (s *Sim[M]) RunsCoalesced() (transitions, multi uint64) { return s.runs, s.coalesced }
-
-// headSeq returns the send sequence number of channel c's oldest message.
-func (s *Sim[M]) headSeq(c int) uint64 { return s.queues[c].front().seq }
 
 // Run initializes every node (in index order, which is itself just one
 // admissible schedule; use InitNode for adversarial wake-ups) and delivers
