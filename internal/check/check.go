@@ -341,6 +341,10 @@ type collector struct {
 }
 
 func (c *collector) Send(p pulse.Port, _ pulse.Pulse) {
+	if !p.Valid() {
+		c.err = fmt.Errorf("%w: node %d sent on invalid port %d", ErrViolation, c.from, p)
+		return
+	}
 	to := c.topo.Peer(c.from, p)
 	if st := c.st.ms[to.Node].Status(); st.Terminated {
 		c.err = fmt.Errorf("%w: node %d sent toward terminated node %d", ErrViolation, c.from, to.Node)

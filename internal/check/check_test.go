@@ -315,6 +315,39 @@ func (q *eagerQuitter) Restore(snap []byte) {
 	q.terminated = snap[8] != 0
 }
 
+// misrouted sends its Init pulse on port 2, which no ring node has, and
+// swallows every pulse.
+type misrouted struct{ eagerQuitter }
+
+func (m *misrouted) Init(e node.PulseEmitter) { e.Send(pulse.Port(2), pulse.Pulse{}) }
+
+func (m *misrouted) CloneMachine() node.PulseMachine {
+	cp := *m
+	return &cp
+}
+
+// TestInvalidSendPortViolation: a send on a port other than Port0 and
+// Port1 is a violation naming the node and the port, as on the simulator
+// and the live runtime, sequentially and in parallel.
+func TestInvalidSendPortViolation(t *testing.T) {
+	topo, err := ring.Oriented(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		_, err := check.Exhaustive(check.Config{
+			Topo:    topo,
+			Workers: workers,
+			NewMachines: func() ([]node.PulseMachine, error) {
+				return []node.PulseMachine{&misrouted{}, &misrouted{}, &misrouted{}}, nil
+			},
+		})
+		if !errors.Is(err, check.ErrViolation) || !strings.Contains(err.Error(), "node 0 sent on invalid port 2") {
+			t.Errorf("workers=%d: err = %v, want a violation naming node 0 and port 2", workers, err)
+		}
+	}
+}
+
 // TestExhaustiveValidation covers config validation paths.
 func TestExhaustiveValidation(t *testing.T) {
 	if _, err := check.Exhaustive(check.Config{}); err == nil {

@@ -167,9 +167,8 @@ func (a *Alg3) Ready(pulse.Port) bool { return true }
 // Status implements node.Machine.
 func (a *Alg3) Status() node.Status {
 	return node.Status{
-		State:          a.state,
-		HasOrientation: a.oriented,
-		CWPort:         a.cwPort,
+		State:       a.state,
+		Orientation: node.Orientation{HasOrientation: a.oriented, CWPort: a.cwPort},
 	}
 }
 

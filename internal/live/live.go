@@ -200,10 +200,9 @@ func (ns *NodeStall) UnmarshalJSON(data []byte) error {
 		Queued:  w.Queued,
 		Crashed: w.Crashed,
 		Status: node.Status{
-			State:          w.State,
-			Terminated:     w.Terminated,
-			HasOrientation: w.HasOrientation,
-			CWPort:         w.CWPort,
+			State:       w.State,
+			Terminated:  w.Terminated,
+			Orientation: node.Orientation{HasOrientation: w.HasOrientation, CWPort: w.CWPort},
 		},
 	}
 	if w.Err != "" {
@@ -636,8 +635,13 @@ func (e *emitter) settle() {
 
 // Send implements node.Emitter and never blocks. With a fault plane, loss
 // is decided before the pulse is counted (a dropped pulse never enters the
-// conservation ledger) and duplication queues two counted pulses.
+// conservation ledger) and duplication queues two counted pulses. A send
+// on a port other than Port0 and Port1 ends the run with an error.
 func (e *emitter) Send(p pulse.Port, _ pulse.Pulse) {
+	if !p.Valid() {
+		e.invalidPort(p)
+		return
+	}
 	to := e.r.topo.Peer(e.from, p)
 	copies := int64(1)
 	if e.r.plane != nil {
@@ -656,6 +660,10 @@ func (e *emitter) Send(p pulse.Port, _ pulse.Pulse) {
 // as one counted add; a run that does not fit goes pulse by pulse through
 // Send, so each loss or duplication lands on its exact send ordinal.
 func (e *emitter) SendRun(p pulse.Port, n uint64) {
+	if !p.Valid() {
+		e.invalidPort(p)
+		return
+	}
 	if n == 0 {
 		return
 	}
@@ -671,6 +679,12 @@ func (e *emitter) SendRun(p pulse.Port, n uint64) {
 		pl.Skip(fault.Sends, c, n)
 	}
 	e.queue(p, to, int64(n))
+}
+
+// invalidPort ends the run: the node sent on port p, which it does not
+// have. Nothing is queued or counted, so the run stops at the fault.
+func (e *emitter) invalidPort(p pulse.Port) {
+	e.r.fail(fmt.Errorf("live: node %d sent on invalid port %d", e.from, p))
 }
 
 // queue puts copies pulses sent out of port p on the peer's count. They

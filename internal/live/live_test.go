@@ -170,6 +170,39 @@ func (c *chatterbox) OnMsg(p pulse.Port, _ pulse.Pulse, e node.PulseEmitter) {
 func (c *chatterbox) Ready(pulse.Port) bool { return true }
 func (c *chatterbox) Status() node.Status   { return node.Status{} }
 
+// misrouted sends its Init pulse on port 2, which no ring node has:
+// through Send, or as a one-pulse SendRun when run is set.
+type misrouted struct{ run bool }
+
+func (m misrouted) Init(e node.PulseEmitter) {
+	if m.run {
+		e.(node.BatchEmitter).SendRun(pulse.Port(2), 1)
+		return
+	}
+	e.Send(pulse.Port(2), pulse.Pulse{})
+}
+func (misrouted) OnMsg(pulse.Port, pulse.Pulse, node.PulseEmitter) {}
+func (misrouted) Ready(pulse.Port) bool                            { return true }
+func (misrouted) Status() node.Status                              { return node.Status{} }
+
+// TestLiveInvalidSendPort: a send on a port other than Port0 and Port1
+// ends the run with an error naming the node and the port, as on the
+// simulator and the checker, instead of taking the process down from
+// inside a node goroutine.
+func TestLiveInvalidSendPort(t *testing.T) {
+	topo, err := ring.Oriented(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []bool{false, true} {
+		ms := []node.PulseMachine{misrouted{run}, misrouted{run}, misrouted{run}}
+		_, err := live.Run(topo, ms, live.WithTimeout(30*time.Second))
+		if err == nil || errors.Is(err, live.ErrTimeout) || !strings.Contains(err.Error(), "sent on invalid port 2") {
+			t.Errorf("run=%v: err = %v, want an invalid-port error", run, err)
+		}
+	}
+}
+
 // TestLiveValidation covers input validation.
 func TestLiveValidation(t *testing.T) {
 	topo, err := ring.Oriented(2)

@@ -138,6 +138,14 @@ func (s State) String() string {
 }
 
 // Status is the externally observable condition of a Machine.
+//
+// Status keeps at most four top-level fields so that the Go compiler
+// passes it in registers: a struct of five or more fields is returned
+// through memory, and every engine reads a machine's Status after every
+// handler (the simulator's afterHandler, the checker's stepper, the live
+// runtime's run loop). The two orientation fields therefore travel as one
+// embedded Orientation; their reads (st.CWPort) and JSON keys are those
+// of plain fields.
 type Status struct {
 	// State is the current election output (possibly still subject to
 	// revision for stabilizing algorithms).
@@ -147,14 +155,19 @@ type Status struct {
 	// must never clear, and Ready must be false on both ports.
 	Terminated bool
 
-	// HasOrientation reports that the node has labeled its ports with ring
-	// directions (Algorithm 3). When set, CWPort is the port the node
-	// believes leads to its clockwise neighbor.
-	HasOrientation bool
-	CWPort         pulse.Port
+	Orientation
 
 	// Err records a protocol fault detected by the machine itself, such as
 	// a pulse arriving on a channel the algorithm proves silent. Runtimes
 	// abort the run when they observe a non-nil Err.
 	Err error
+}
+
+// Orientation is a node's port labeling (Algorithm 3), embedded in Status.
+type Orientation struct {
+	// HasOrientation reports that the node has labeled its ports with ring
+	// directions. When set, CWPort is the port the node believes leads to
+	// its clockwise neighbor.
+	HasOrientation bool
+	CWPort         pulse.Port
 }

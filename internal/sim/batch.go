@@ -88,24 +88,25 @@ type pendingRun struct {
 
 // runEmitter is the node.BatchEmitter handed to OnPulses: it buffers
 // counted runs so they take effect atomically when the transition
-// returns, mirroring the plain emitter. It is reused across transitions
-// (reset by the delivery loop), keeping the fast path allocation-free.
+// returns, mirroring the plain emitter, invalid-port fault included. It
+// is reused across transitions (reset by flushRuns), keeping the fast
+// path allocation-free.
 type runEmitter struct {
-	buf []pendingRun
+	from int
+	buf  []pendingRun
+	err  error
 }
 
 // Send implements node.Emitter: a single pulse is a run of one.
-func (e *runEmitter) Send(p pulse.Port, _ pulse.Pulse) {
-	if !p.Valid() {
-		panic(fmt.Sprintf("sim: send on invalid port %d", p))
-	}
-	e.buf = append(e.buf, pendingRun{port: p, n: 1})
-}
+func (e *runEmitter) Send(p pulse.Port, _ pulse.Pulse) { e.SendRun(p, 1) }
 
 // SendRun implements node.BatchEmitter.
 func (e *runEmitter) SendRun(p pulse.Port, n uint64) {
 	if !p.Valid() {
-		panic(fmt.Sprintf("sim: send on invalid port %d", p))
+		if e.err == nil {
+			e.err = invalidPort(e.from, p)
+		}
+		return
 	}
 	if n == 0 {
 		return
@@ -113,22 +114,22 @@ func (e *runEmitter) SendRun(p pulse.Port, n uint64) {
 	e.buf = append(e.buf, pendingRun{port: p, n: n})
 }
 
-// checkRunUniformity enforces the BatchMachine emission contract the
-// sequence numbering relies on: a transition that consumed more than
-// one pulse must emit on at most one port, with a per-pulse-uniform
-// total. Violations are machine bugs; the engine aborts rather than
-// silently mis-number the wire.
-func checkRunUniformity(buf []pendingRun, consumed uint64) error {
-	if consumed <= 1 || len(buf) == 0 {
-		return nil
-	}
+// runsUniform reports whether a transition's buffered runs obey the
+// BatchMachine emission contract the sequence numbering relies on: a
+// transition that consumed more than one pulse must emit on at most one
+// port, with a per-pulse-uniform total. Violations are machine bugs; the
+// engine aborts (runUniformityError) rather than silently mis-number the
+// wire. It is small enough to inline into flushRuns.
+func runsUniform(buf []pendingRun, consumed uint64) bool {
+	return consumed <= 1 || len(buf) == 0 || len(buf) == 1 && buf[0].n%consumed == 0
+}
+
+// runUniformityError is the error for runs that are not runsUniform.
+func runUniformityError(buf []pendingRun, consumed uint64) error {
 	if len(buf) > 1 {
 		return fmt.Errorf("sim: batch transition of %d pulses emitted on %d ports; the BatchMachine contract allows one", consumed, len(buf))
 	}
-	if buf[0].n%consumed != 0 {
-		return fmt.Errorf("sim: batch transition of %d pulses emitted a non-uniform run of %d", consumed, buf[0].n)
-	}
-	return nil
+	return fmt.Errorf("sim: batch transition of %d pulses emitted a non-uniform run of %d", consumed, buf[0].n)
 }
 
 // enqueueRun places a counted run on channel c traveling dir, assigning
@@ -141,11 +142,7 @@ func (s *Sim[M]) enqueueRun(c int, n uint64, dir pulse.Direction) {
 	q.pushRun(entry[M]{seq: s.seq + 1, cnt: n, msg: zero})
 	s.seq += n
 	s.sent += n
-	if dir == pulse.CW {
-		s.sentCW += n
-	} else {
-		s.sentCCW += n
-	}
+	s.sentDir[dirSlot(dir)] += n
 	if wasEmpty {
 		s.refreshChan(c)
 		return
@@ -163,34 +160,46 @@ func (s *Sim[M]) enqueueRun(c int, n uint64, dir pulse.Direction) {
 // flushRuns is flushSends for a batch transition: clockwise runs first
 // (the same Definition 21 tie-break — run emissions of one transition
 // are per-channel contiguous, so ordering whole runs orders every
-// expanded pulse).
+// expanded pulse), and one run directly.
 func (s *Sim[M]) flushRuns(from int, consumed uint64, ev *Event) error {
 	buf := s.runEm.buf
-	if err := checkRunUniformity(buf, consumed); err != nil {
+	s.runEm.buf = buf[:0]
+	if err := s.runEm.err; err != nil {
+		s.runEm.err = nil
 		return err
 	}
-	for pass := 0; pass < 2; pass++ {
-		want := pulse.CW
-		if pass == 1 {
-			want = pulse.CCW
-		}
+	if !runsUniform(buf, consumed) {
+		return runUniformityError(buf, consumed)
+	}
+	if len(buf) == 1 {
+		return s.sendRun(from, buf[0], ev)
+	}
+	for _, want := range [2]pulse.Direction{pulse.CW, pulse.CCW} {
 		for _, pr := range buf {
-			out := chanID(from, pr.port)
-			if s.outDir[out] != want {
+			if s.outDir[chanID(from, pr.port)] != want {
 				continue
 			}
-			to := s.peer[out]
-			if s.termAt[to.Node] != 0 {
-				return fmt.Errorf("%w: node %d sent %s toward node %d",
-					ErrPostTerminationSend, from, want, to.Node)
-			}
-			s.enqueueRun(s.peerCh[out], pr.n, want)
-			if ev != nil {
-				ev.Sends = append(ev.Sends, SendRec{From: from, Port: pr.port, Dir: want, To: to, Count: pr.n})
+			if err := s.sendRun(from, pr, ev); err != nil {
+				return err
 			}
 		}
 	}
-	s.runEm.buf = s.runEm.buf[:0]
+	return nil
+}
+
+// sendRun puts one counted run node from emitted on the wire: send,
+// vectorized (batched runs have no fault plane).
+func (s *Sim[M]) sendRun(from int, pr pendingRun, ev *Event) error {
+	out := chanID(from, pr.port)
+	dir, to := s.outDir[out], s.peer[out]
+	if s.termAt[to.Node] != 0 {
+		return fmt.Errorf("%w: node %d sent %s toward node %d",
+			ErrPostTerminationSend, from, dir, to.Node)
+	}
+	s.enqueueRun(s.peerCh[out], pr.n, dir)
+	if ev != nil {
+		ev.Sends = append(ev.Sends, SendRec{From: from, Port: pr.port, Dir: dir, To: to, Count: pr.n})
+	}
 	return nil
 }
 
@@ -201,25 +210,12 @@ func (s *Sim[M]) flushRuns(from int, consumed uint64, ev *Event) error {
 // delivered, and sequence numbers all advance by pulse counts, so
 // Result totals are engine-invariant). The cap keeps an aborting run's
 // step count equal to the plain engine's: the BatchMachine contract
-// already admits a run shorter than the queue.
+// already admits a run shorter than the queue. Like deliver, it runs
+// once RunDeliveries knows c is deliverable.
 func (s *Sim[M]) deliverRun(c int, budget uint64) error {
-	if s.failed != nil {
-		return s.failed
-	}
-	if c < 0 || c >= len(s.queues) || s.queues[c].n == 0 {
-		return fmt.Errorf("sim: deliver on empty or invalid channel %d", c)
-	}
 	k, p := ChanNode(c), ChanPort(c)
-	switch {
-	case !s.inited[k]:
-		return fmt.Errorf("sim: deliver to uninitialized node %d", k)
-	case s.termAt[k] != 0:
-		return s.fail(fmt.Errorf("%w: delivery attempted to node %d", ErrPostTerminationSend, k))
-	case !s.mReady(k, p):
-		return fmt.Errorf("sim: deliver on non-ready port %s of node %d", p, k)
-	}
 	avail := min(s.queues[c].tot, budget)
-	s.runEm.buf = s.runEm.buf[:0]
+	s.runEm.from = k
 	var consumed uint64
 	if s.fbm != nil {
 		consumed = s.fbm.OnPulses(k, p, avail, &s.runEm)

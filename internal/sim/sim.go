@@ -176,8 +176,10 @@ type Sim[M any] struct {
 	seq       uint64
 	sent      uint64
 	delivered uint64
-	sentCW    uint64
-	sentCCW   uint64
+	// sentDir counts sends by direction, indexed by dirSlot: an array
+	// index instead of a CW/CCW branch, which a random non-oriented ring
+	// makes a coin flip.
+	sentDir [2]uint64
 
 	scratch []int // reusable deliverable buffer
 	em      emitter[M]
@@ -479,15 +481,21 @@ func ChanNode(c int) int { return c / 2 }
 // ChanPort returns the receiving port of channel c.
 func ChanPort(c int) pulse.Port { return pulse.Port(c % 2) }
 
+// dirSlot is direction d's index in Sim.sentDir: CW is 1, CCW is 0.
+func dirSlot(d pulse.Direction) int { return int(d & 1) }
+
 // emitter buffers a handler's sends so they take effect atomically, with
 // clockwise sends enqueued first. That ordering realizes the canonical
 // scheduler's tie-break of Definition 21 ("prioritizing CW pulses" among
 // pulses emitted at the same instant) and is harmless for every other
-// scheduler.
+// scheduler. A send on a port other than Port0 and Port1 is a machine
+// fault: the emitter records the first one in err, and the flush returns
+// it before any of the handler's sends takes effect.
 type emitter[M any] struct {
 	s    *Sim[M]
 	from int
 	buf  []pendingSend[M]
+	err  error
 }
 
 type pendingSend[M any] struct {
@@ -495,48 +503,70 @@ type pendingSend[M any] struct {
 	msg  M
 }
 
+// invalidPort is the machine fault of node k sending on port p.
+func invalidPort(k int, p pulse.Port) error {
+	return fmt.Errorf("%w: node %d sent on invalid port %d", ErrMachineFault, k, p)
+}
+
 // Send implements node.Emitter.
 func (e *emitter[M]) Send(p pulse.Port, m M) {
 	if !p.Valid() {
-		panic(fmt.Sprintf("sim: send on invalid port %d", p))
+		if e.err == nil {
+			e.err = invalidPort(e.from, p)
+		}
+		return
 	}
 	e.buf = append(e.buf, pendingSend[M]{port: p, msg: m})
 }
 
+// flushSends puts the handler's buffered sends on the wire, clockwise
+// first (stable within each direction). One send, the common case (every
+// relay), needs no ordering and goes out directly.
 func (s *Sim[M]) flushSends(from int, ev *Event) error {
 	buf := s.em.buf
-	// Clockwise sends first (stable within each class).
-	for pass := 0; pass < 2; pass++ {
-		want := pulse.CW
-		if pass == 1 {
-			want = pulse.CCW
-		}
+	s.em.buf = buf[:0]
+	if err := s.em.err; err != nil {
+		s.em.err = nil
+		return err
+	}
+	if len(buf) == 1 {
+		return s.send(from, buf[0].port, buf[0].msg, ev)
+	}
+	for _, want := range [2]pulse.Direction{pulse.CW, pulse.CCW} {
 		for _, ps := range buf {
-			out := chanID(from, ps.port)
-			if s.outDir[out] != want {
+			if s.outDir[chanID(from, ps.port)] != want {
 				continue
 			}
-			to := s.peer[out]
-			if s.termAt[to.Node] != 0 {
-				return fmt.Errorf("%w: node %d sent %s toward node %d",
-					ErrPostTerminationSend, from, want, to.Node)
-			}
-			c := s.peerCh[out]
-			if s.plane != nil {
-				switch s.plane.OnSend(s.step, c) {
-				case fault.Loss:
-					continue // vanished in transit; never reaches the queue
-				case fault.Dup:
-					s.enqueue(c, ps.msg, want)
-				}
-			}
-			s.enqueue(c, ps.msg, want)
-			if ev != nil {
-				ev.Sends = append(ev.Sends, SendRec{From: from, Port: ps.port, Dir: want, To: to})
+			if err := s.send(from, ps.port, ps.msg, ev); err != nil {
+				return err
 			}
 		}
 	}
-	s.em.buf = s.em.buf[:0]
+	return nil
+}
+
+// send puts one message node from emitted on port p on the wire: it fails
+// toward a terminated node, consults the fault plane, and enqueues.
+func (s *Sim[M]) send(from int, p pulse.Port, msg M, ev *Event) error {
+	out := chanID(from, p)
+	dir, to := s.outDir[out], s.peer[out]
+	if s.termAt[to.Node] != 0 {
+		return fmt.Errorf("%w: node %d sent %s toward node %d",
+			ErrPostTerminationSend, from, dir, to.Node)
+	}
+	c := s.peerCh[out]
+	if s.plane != nil {
+		switch s.plane.OnSend(s.step, c) {
+		case fault.Loss:
+			return nil // vanished in transit; never reaches the queue
+		case fault.Dup:
+			s.enqueue(c, msg, dir)
+		}
+	}
+	s.enqueue(c, msg, dir)
+	if ev != nil {
+		ev.Sends = append(ev.Sends, SendRec{From: from, Port: p, Dir: dir, To: to})
+	}
 	return nil
 }
 
@@ -550,11 +580,7 @@ func (s *Sim[M]) enqueue(c int, msg M, dir pulse.Direction) {
 	q := &s.queues[c]
 	q.push(entry[M]{seq: s.seq, cnt: 1, msg: msg})
 	s.sent++
-	if dir == pulse.CW {
-		s.sentCW++
-	} else {
-		s.sentCCW++
-	}
+	s.sentDir[dirSlot(dir)]++
 	if q.n == 1 {
 		// Empty -> non-empty is the only enqueue transition that can
 		// change deliverability.
@@ -715,6 +741,18 @@ func (s *Sim[M]) Deliver(c int) error {
 		// delivery loop (RunDeliveries) is the only admissible driver.
 		return errors.New("sim: Deliver is pulse-by-pulse; drive batched simulations with Run or RunDeliveries")
 	}
+	if err := s.checkChoice(c); err != nil {
+		return err
+	}
+	return s.deliver(c)
+}
+
+// checkChoice returns nil when channel c is deliverable, and otherwise
+// the error for delivering it: an empty or invalid channel, or a
+// receiver that is uninitialized, terminated (a sticky error), crashed
+// or not Ready on c's port. It is the full check behind Deliver and
+// behind any RunDeliveries choice outside the deliverable set.
+func (s *Sim[M]) checkChoice(c int) error {
 	if c < 0 || c >= len(s.queues) || s.queues[c].n == 0 {
 		return fmt.Errorf("sim: deliver on empty or invalid channel %d", c)
 	}
@@ -729,7 +767,7 @@ func (s *Sim[M]) Deliver(c int) error {
 	case !s.mReady(k, p):
 		return fmt.Errorf("sim: deliver on non-ready port %s of node %d", p, k)
 	}
-	return s.deliver(c)
+	return nil
 }
 
 // deliver is Deliver once channel c is known deliverable: it pops the
@@ -827,7 +865,7 @@ func (s *Sim[M]) RunDeliveries(limit uint64) (Result, error) {
 	if s.failed != nil {
 		return s.Result(), s.failed
 	}
-	view := view[M]{s: s}
+	var v View = &view[M]{s: s}
 	for {
 		if s.step >= limit {
 			return s.Result(), s.fail(fmt.Errorf("%w (%d)", ErrStepLimit, limit))
@@ -848,24 +886,24 @@ func (s *Sim[M]) RunDeliveries(limit uint64) (Result, error) {
 			}
 			return s.Result(), s.fail(fmt.Errorf("%w: %d in flight", ErrStalled, s.InFlight()))
 		}
-		c := s.sched.Next(&view)
-		if s.batch {
-			if err := s.deliverRun(c, limit-s.step); err != nil {
-				return s.Result(), s.fail(err)
-			}
-			continue
-		}
-		// A choice in the deliverable set passes all of Deliver's checks;
-		// any other choice (and every choice on the rescan reference)
-		// takes the checked path, so a rogue scheduler gets Deliver's
-		// error. Both paths' errors are made sticky here, though a manual
-		// Deliver's choice errors are not: a scheduler that broke its
-		// contract ends the run.
+		c := s.sched.Next(v)
+		// A choice in the deliverable set passes all of checkChoice's
+		// checks; any other choice (and every choice on the rescan
+		// reference) is checked, so a rogue scheduler gets Deliver's
+		// error on both the pulse-by-pulse and the batched path. Every
+		// error is made sticky here, though a manual Deliver's choice
+		// errors are not: a scheduler that broke its contract ends the
+		// run.
 		var err error
-		if !s.rescan && uint(c) < uint(len(s.queues)) && s.deliv.get(c) {
-			err = s.deliver(c)
-		} else {
-			err = s.Deliver(c)
+		if s.rescan || uint(c) >= uint(len(s.queues)) || !s.deliv.get(c) {
+			err = s.checkChoice(c)
+		}
+		if err == nil {
+			if s.batch {
+				err = s.deliverRun(c, limit-s.step)
+			} else {
+				err = s.deliver(c)
+			}
 		}
 		if err != nil {
 			return s.Result(), s.fail(err)
@@ -891,8 +929,8 @@ func (s *Sim[M]) Result() Result {
 		Steps:         s.step,
 		Sent:          s.sent,
 		Delivered:     s.delivered,
-		SentCW:        s.sentCW,
-		SentCCW:       s.sentCCW,
+		SentCW:        s.sentDir[dirSlot(pulse.CW)],
+		SentCCW:       s.sentDir[dirSlot(pulse.CCW)],
 		Quiescent:     s.Quiescent(),
 		AllTerminated: s.allTerminated(),
 		Leader:        -1,
