@@ -190,15 +190,19 @@ func (a *auxHeap) push(e auxEntry) {
 
 // auxCompact rebuilds a lazy heap from exactly its live candidate set —
 // every covered deliverable channel's current head — and resets the
-// dedup marks to match.
+// dedup marks to match. A compaction can fire from an enqueue inside a
+// delivery's flush, while the channel that delivery popped empty is
+// still in the deliverable set (afterHandler refreshes it next); that
+// channel has no head to register, so empty queues are skipped.
 func (s *Sim[M]) auxCompact(a *auxHeap) {
 	clear(a.mark)
 	a.h = a.h[:0]
 	for c := range s.queues {
-		if !s.deliv.get(c) || a.Dir != 0 && s.chanDir[c] != a.Dir {
+		q := &s.queues[c]
+		if q.n == 0 || !s.deliv.get(c) || a.Dir != 0 && s.chanDir[c] != a.Dir {
 			continue
 		}
-		seq := s.queues[c].front().seq
+		seq := s.pool.front(q).seq
 		a.mark[c] = seq
 		a.push(auxEntry{key: a.keyOf(c, seq), c: c})
 	}
@@ -357,7 +361,7 @@ func (a *heavyHeap) removeAt(i int) {
 // drained fails before its head is read.
 func (s *Sim[M]) heavyValid(e heavyEntry) bool {
 	q := &s.queues[e.c]
-	return q.tot == ^e.key && s.deliv.get(int(e.c)) && q.front().seq == e.seq
+	return q.tot == ^e.key && s.deliv.get(int(e.c)) && s.pool.front(q).seq == e.seq
 }
 
 // heavyBest returns HeapHeaviest's best valid channel — the better of

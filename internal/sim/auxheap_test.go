@@ -199,6 +199,56 @@ func TestLazyHeapCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionSkipsEmptyHeads: auxCompact can fire from an enqueue
+// inside a delivery's flush, while the channel that delivery popped
+// empty is still in the deliverable set. It must not register that
+// channel's missing head. Under lazyProbe on Algorithm 3, after every
+// step, no sequence-keyed heap may hold an entry keyed for head seq 0,
+// which no queued message carries. (HeapRank's probe keys collide with
+// real heads, so that heap is not checked.)
+func TestCompactionSkipsEmptyHeads(t *testing.T) {
+	errSeqZero := errors.New("aux heap holds a head-seq-0 entry")
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			topo, err := ring.RandomNonOriented(8, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, err := ring.AdversarialIDs(topo.N(), 60)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			ms, err := core.Alg3Machines(topo.N(), ids, core.SchemeSuccessor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := ObserverFunc[pulse.Pulse](func(_ *Event, s *Sim[pulse.Pulse]) error {
+				for i := range s.aux {
+					a := &s.aux[i]
+					if a.Kind == HeapRank {
+						continue
+					}
+					for _, e := range a.h {
+						if e.key == a.keyOf(e.c, 0) {
+							return fmt.Errorf("%w: step %d: heap %d, channel %d", errSeqZero, s.step, i, e.c)
+						}
+					}
+				}
+				return nil
+			})
+			s, err := New(topo, ms, newLazyProbe(t, seed, 5), WithObserver[pulse.Pulse](check))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run(1 << 15); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // scanCounter is the simulator's view with its Deliverable() calls
 // counted.
 type scanCounter struct {

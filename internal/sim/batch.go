@@ -139,7 +139,7 @@ func (s *Sim[M]) enqueueRun(c int, n uint64, dir pulse.Direction) {
 	var zero M
 	q := &s.queues[c]
 	wasEmpty := q.n == 0
-	q.pushRun(entry[M]{seq: s.seq + 1, cnt: n, msg: zero})
+	s.pool.pushRun(q, entry[M]{seq: s.seq + 1, cnt: n, msg: zero})
 	s.seq += n
 	s.sent += n
 	s.sentDir[dirSlot(dir)] += n
@@ -151,7 +151,7 @@ func (s *Sim[M]) enqueueRun(c int, n uint64, dir pulse.Direction) {
 		// Head unchanged; only the count-keyed HeapHeaviest heap
 		// re-registers.
 		if s.heavy != nil {
-			s.heavyPush(c, q.front().seq)
+			s.heavyPush(c, s.pool.front(q).seq)
 		}
 		s.reweigh(c, int64(q.tot))
 	}
@@ -191,14 +191,14 @@ func (s *Sim[M]) flushRuns(from int, consumed uint64, ev *Event) error {
 // vectorized (batched runs have no fault plane).
 func (s *Sim[M]) sendRun(from int, pr pendingRun, ev *Event) error {
 	out := chanID(from, pr.port)
-	dir, to := s.outDir[out], s.peer[out]
-	if s.termAt[to.Node] != 0 {
+	dir, c := s.outDir[out], int(s.peerCh[out])
+	if s.flags[ChanNode(c)]&nodeTerm != 0 {
 		return fmt.Errorf("%w: node %d sent %s toward node %d",
-			ErrPostTerminationSend, from, dir, to.Node)
+			ErrPostTerminationSend, from, dir, ChanNode(c))
 	}
-	s.enqueueRun(s.peerCh[out], pr.n, dir)
+	s.enqueueRun(c, pr.n, dir)
 	if ev != nil {
-		ev.Sends = append(ev.Sends, SendRec{From: from, Port: pr.port, Dir: dir, To: to, Count: pr.n})
+		ev.Sends = append(ev.Sends, SendRec{From: from, Port: pr.port, Dir: dir, To: chanEndpoint(c), Count: pr.n})
 	}
 	return nil
 }
@@ -225,7 +225,7 @@ func (s *Sim[M]) deliverRun(c int, budget uint64) error {
 	if consumed == 0 || consumed > avail {
 		return s.fail(fmt.Errorf("sim: batch transition at node %d consumed %d of %d offered pulses", k, consumed, avail))
 	}
-	s.queues[c].popPulses(consumed)
+	s.pool.popPulses(&s.queues[c], consumed)
 	s.delivered += consumed
 	s.step += consumed
 	s.runs++

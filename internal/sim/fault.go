@@ -54,7 +54,7 @@ func (s *Sim[M]) applyFaults(c, k int) error {
 // conservation counters, so Quiescent stays truthful about the network.
 func (s *Sim[M]) injectSpurious(c int) error {
 	k := ChanNode(c)
-	if s.termAt[k] != 0 {
+	if s.flags[k]&nodeTerm != 0 {
 		return fmt.Errorf("%w: spurious pulse injected toward terminated node %d",
 			ErrPostTerminationSend, k)
 	}
@@ -70,7 +70,7 @@ func (s *Sim[M]) applyNodeFault(k int) error {
 	case fault.Crash:
 		// Fail-stop: the node consumes nothing from here on. Its queued
 		// and future incoming pulses strand, surfacing as ErrStalled.
-		s.crashed[k] = true
+		s.flags[k] |= nodeCrash
 		s.refreshChan(chanID(k, pulse.Port0))
 		s.refreshChan(chanID(k, pulse.Port1))
 	case fault.Restart:
@@ -82,7 +82,7 @@ func (s *Sim[M]) applyNodeFault(k int) error {
 		u.Restore(s.initSnap[k])
 		// A restart revives even a terminated node; its first termination
 		// stays recorded in TerminationOrder.
-		s.termAt[k] = 0
+		s.flags[k] &^= nodeTerm
 		return s.rerunInit(k)
 	case fault.Corrupt:
 		u, ok := any(s.machines[k]).(node.Undoable)

@@ -202,3 +202,64 @@ func TestPickWeightedOutOfContract(t *testing.T) {
 		})
 	}
 }
+
+// viewReader reads every View accessor on every channel id in
+// [-1, 2n] before following Canonical: HeadSeq and QueueLen of a
+// channel that never held a message, and all three accessors outside
+// [0, 2n), must read their zero value instead of panicking.
+type viewReader struct {
+	t     *testing.T
+	n     int
+	calls int
+}
+
+func (r *viewReader) Next(v sim.View) int {
+	r.calls++
+	for c := -1; c <= 2*r.n; c++ {
+		seq, l, d := v.HeadSeq(c), v.QueueLen(c), v.Direction(c)
+		if c < 0 || c == 2*r.n {
+			if seq != 0 || l != 0 || d != 0 {
+				r.t.Fatalf("channel %d outside [0, %d): HeadSeq %d, QueueLen %d, Direction %d; want zeros", c, 2*r.n, seq, l, d)
+			}
+			continue
+		}
+		if l == 0 && seq != 0 {
+			r.t.Fatalf("empty channel %d: HeadSeq %d, want 0", c, seq)
+		}
+	}
+	return v.Deliverable()[0]
+}
+
+// TestViewReadsNeverPanic: a scheduler may read HeadSeq, QueueLen and
+// Direction on any channel id, deliverable or not, on every engine.
+func TestViewReadsNeverPanic(t *testing.T) {
+	const n = 3
+	for _, mode := range []string{"plain", "batched", "rescan"} {
+		t.Run(mode, func(t *testing.T) {
+			topo, err := ring.Oriented(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, err := core.Alg2Machines(topo, []uint64{2, 3, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opts []sim.Option[pulse.Pulse]
+			switch mode {
+			case "batched":
+				opts = append(opts, sim.WithBatching())
+			case "rescan":
+				opts = append(opts, sim.WithRescanDeliverable[pulse.Pulse]())
+			}
+			r := &viewReader{t: t, n: n}
+			s, err := sim.New(topo, ms, r, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(1 << 10)
+			if err != nil || res.Leader < 0 || r.calls == 0 {
+				t.Fatalf("Run: leader %d after %d picks, error %v", res.Leader, r.calls, err)
+			}
+		})
+	}
+}

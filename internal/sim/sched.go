@@ -13,11 +13,13 @@ type View interface {
 	// pick from, in ascending channel-id order. Valid until the next step.
 	Deliverable() []int
 	// HeadSeq returns the global send-order sequence number of channel c's
-	// oldest queued message. c must be deliverable.
+	// oldest queued message: 0 when c is empty or outside [0, 2n).
 	HeadSeq(c int) uint64
-	// QueueLen returns how many messages are queued on channel c.
+	// QueueLen returns how many messages are queued on channel c: 0 when
+	// c is outside [0, 2n).
 	QueueLen(c int) int
-	// Direction returns the ring direction traveled by messages on c.
+	// Direction returns the ring direction traveled by messages on c: the
+	// zero Direction when c is outside [0, 2n).
 	Direction(c int) pulse.Direction
 	// Step returns the number of handler invocations so far.
 	Step() uint64
@@ -102,11 +104,25 @@ type WeightedView interface {
 
 type view[M any] struct{ s *Sim[M] }
 
-func (v *view[M]) Deliverable() []int              { return v.s.Deliverable() }
-func (v *view[M]) HeadSeq(c int) uint64            { return v.s.queues[c].front().seq }
-func (v *view[M]) QueueLen(c int) int              { return v.s.QueueLen(c) }
-func (v *view[M]) Direction(c int) pulse.Direction { return v.s.chanDir[c] }
-func (v *view[M]) Step() uint64                    { return v.s.step }
+func (v *view[M]) Deliverable() []int { return v.s.Deliverable() }
+func (v *view[M]) QueueLen(c int) int { return v.s.QueueLen(c) }
+func (v *view[M]) Step() uint64       { return v.s.step }
+
+// HeadSeq reads the pool's zero sentinel for an empty channel.
+func (v *view[M]) HeadSeq(c int) uint64 {
+	s := v.s
+	if uint(c) >= uint(len(s.queues)) {
+		return 0
+	}
+	return s.pool.front(&s.queues[c]).seq
+}
+
+func (v *view[M]) Direction(c int) pulse.Direction {
+	if uint(c) >= uint(len(v.s.chanDir)) {
+		return 0
+	}
+	return v.s.chanDir[c]
+}
 
 func (v *view[M]) HeapBest(kind HeapKind, d pulse.Direction) (int, bool) {
 	s := v.s

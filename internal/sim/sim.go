@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"coleader/internal/fault"
 	"coleader/internal/node"
@@ -138,15 +139,16 @@ type Sim[M any] struct {
 	sched    Scheduler
 	obs      []Observer[M]
 
-	queues  []fifo[M] // per channel; channel id = node*2 + port
-	inited  []bool
-	termAt  []uint64 // step+1 at which node terminated; 0 = live
+	// queues holds one list header per channel (channel id = node*2 +
+	// port); every queued entry lives in pool.
+	queues  []fifo[M]
+	pool    pool[M]
+	flags   []uint8 // per node: nodeInit, nodeTerm, nodeCrash bits
 	ordTerm []int
 
 	chanDir []pulse.Direction // arrival direction on each channel
 	outDir  []pulse.Direction // travel direction of sends out of (node, port)
-	peer    []ring.Endpoint   // receiving endpoint of sends out of (node, port)
-	peerCh  []int             // channel id of peer, same indexing
+	peerCh  []int32           // channel id receiving sends out of (node, port)
 
 	// deliv is the incrementally maintained deliverable set: bit c is set
 	// iff channel c holds a queued message whose receiver is initialized,
@@ -196,12 +198,22 @@ type Sim[M any] struct {
 	runs      uint64 // batch transitions (OnPulses invocations)
 	coalesced uint64 // batch transitions that consumed more than one pulse
 
-	// Fault plane (nil on model-exact runs). crashed nodes consume
-	// nothing; initSnap holds pre-Init Undoable snapshots for restarts.
+	// Fault plane (nil on model-exact runs). Crashed nodes (nodeCrash)
+	// consume nothing; initSnap holds pre-Init Undoable snapshots for
+	// restarts.
 	plane    *fault.Plane
-	crashed  []bool
 	initSnap [][]byte
 }
+
+// Node flags, one byte per node in Sim.flags. A node is live — its
+// channels may be deliverable — exactly when its flags equal nodeInit:
+// initialized, not terminated, not crashed. A restart clears only
+// nodeTerm, so a crashed node stays crashed.
+const (
+	nodeInit  uint8 = 1 << iota // Init has run
+	nodeTerm                    // reported Terminated and not restarted since
+	nodeCrash                   // fail-stopped by the fault plane
+)
 
 // entry is one queued element of a channel FIFO. On non-batched paths
 // every entry is a single message (cnt == 1). The batched fast path
@@ -210,35 +222,77 @@ type Sim[M any] struct {
 // sequence numbers seq .. seq+c-1 — sound because a content-oblivious
 // channel's state IS its pulse count, and exact because run emissions
 // are per-channel contiguous in the expanded execution (see the
-// BatchMachine contract).
+// BatchMachine contract). msg comes first so that a zero-size payload
+// (pulse.Pulse) adds no trailing padding.
 type entry[M any] struct {
+	msg M
 	seq uint64
 	cnt uint64
-	msg M
 }
 
-// fifo is a head-indexed ring buffer holding one channel's queued
-// messages. Unlike q = q[1:] re-slicing it never pins its backing array:
-// popped slots are reused, so a channel that stays shallow never grows
-// past a few entries no matter how many messages pass through it.
-// tot is the queued message count (Σ cnt over entries): equal to n on
-// non-batched paths, and the scheduler-visible queue length everywhere.
+// fifo is one channel's queue: a singly linked list of pool slots from
+// head to tail, n entries long. tot is the queued message count (Σ cnt
+// over entries): equal to n on non-batched paths, and the
+// scheduler-visible queue length everywhere. An empty queue's head is
+// slot 0, the pool's zero sentinel; tail is meaningful only while
+// n > 0.
 type fifo[M any] struct {
-	buf  []entry[M] // power-of-two capacity
-	head int
-	n    int
-	tot  uint64
+	head, tail, n int32
+	tot           uint64
 }
 
-func (q *fifo[M]) push(e entry[M]) {
-	if q.n == len(q.buf) {
-		grown := make([]entry[M], max(4, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-		}
-		q.buf, q.head = grown, 0
+// pooled is one pool slot: a queued entry and the slot index of the
+// next entry in its queue (0 at the tail), or, while the slot is free,
+// of the next free slot.
+type pooled[M any] struct {
+	entry[M]
+	next int32
+}
+
+// pool is the one entry store behind every channel queue of a Sim.
+// Slot 0 is a permanently zero sentinel and the list terminator, so
+// front() of an empty queue reads seq 0 and cnt 0. Freed slots form a
+// LIFO free list: a pop's slot is the next push's, still in cache. The
+// pool grows by append, so a *entry from front() is invalid after any
+// push; callers read it at once. Until the first push the pool is the
+// sentinel alone; that push reserves one slot per node (reserve), the
+// peak an n-node batched election holds, so the pool does not double
+// its way up on large rings. Slot indices are int32: more than 2^31
+// queued entries would take over 48 GB of pool first.
+type pool[M any] struct {
+	slots   []pooled[M]
+	free    int32 // head of the free list; 0 = none
+	reserve int32 // slots the first push reserves past the sentinel
+}
+
+// alloc stores e in a free slot, or in a new one, and returns its index.
+func (p *pool[M]) alloc(e entry[M]) int32 {
+	if i := p.free; i != 0 {
+		p.free = p.slots[i].next
+		p.slots[i] = pooled[M]{entry: e}
+		return i
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = e
+	if len(p.slots) == 1 {
+		p.slots = slices.Grow(p.slots, int(p.reserve))
+	}
+	p.slots = append(p.slots, pooled[M]{entry: e})
+	return int32(len(p.slots) - 1)
+}
+
+// release zeroes slot i, dropping any payload reference, and frees it.
+func (p *pool[M]) release(i int32) {
+	p.slots[i] = pooled[M]{next: p.free}
+	p.free = i
+}
+
+func (p *pool[M]) push(q *fifo[M], e entry[M]) {
+	i := p.alloc(e)
+	if q.n == 0 {
+		q.head = i
+	} else {
+		p.slots[q.tail].next = i
+	}
+	q.tail = i
 	q.n++
 	q.tot += e.cnt
 }
@@ -247,22 +301,23 @@ func (q *fifo[M]) push(e entry[M]) {
 // entry when the sequence ranges are contiguous. Only the batched fast
 // path calls this (messages are contentless pulses, so merging entries
 // never conflates payloads).
-func (q *fifo[M]) pushRun(e entry[M]) {
+func (p *pool[M]) pushRun(q *fifo[M], e entry[M]) {
 	if q.n > 0 {
-		tail := &q.buf[(q.head+q.n-1)&(len(q.buf)-1)]
+		tail := &p.slots[q.tail]
 		if tail.seq+tail.cnt == e.seq {
 			tail.cnt += e.cnt
 			q.tot += e.cnt
 			return
 		}
 	}
-	q.push(e)
+	p.push(q, e)
 }
 
-func (q *fifo[M]) pop() entry[M] {
-	e := q.buf[q.head]
-	q.buf[q.head] = entry[M]{} // release any payload reference
-	q.head = (q.head + 1) & (len(q.buf) - 1)
+func (p *pool[M]) pop(q *fifo[M]) entry[M] {
+	i := q.head
+	e := p.slots[i].entry
+	q.head = p.slots[i].next
+	p.release(i)
 	q.n--
 	q.tot -= e.cnt
 	return e
@@ -272,23 +327,26 @@ func (q *fifo[M]) pop() entry[M] {
 // partially consumed run in place (its remainder keeps ascending,
 // contiguous numbering, so the front's seq stays the oldest queued
 // pulse's). m must be at most tot.
-func (q *fifo[M]) popPulses(m uint64) {
+func (p *pool[M]) popPulses(q *fifo[M], m uint64) {
 	q.tot -= m
 	for m > 0 {
-		f := &q.buf[q.head]
+		i := q.head
+		f := &p.slots[i]
 		if f.cnt > m {
 			f.seq += m
 			f.cnt -= m
 			return
 		}
 		m -= f.cnt
-		q.buf[q.head] = entry[M]{}
-		q.head = (q.head + 1) & (len(q.buf) - 1)
+		q.head = f.next
+		p.release(i)
 		q.n--
 	}
 }
 
-func (q *fifo[M]) front() *entry[M] { return &q.buf[q.head] }
+// front is q's oldest entry, or the zero sentinel when q is empty. The
+// pointer is invalid after the next push onto any queue.
+func (p *pool[M]) front(q *fifo[M]) *entry[M] { return &p.slots[q.head].entry }
 
 // bitset indexes channels; word i holds channels 64i..64i+63.
 type bitset []uint64
@@ -350,14 +408,12 @@ func newSim[M any](t ring.Topology, sched Scheduler) (*Sim[M], error) {
 		topo:    t,
 		sched:   sched,
 		queues:  make([]fifo[M], 2*n),
-		inited:  make([]bool, n),
-		termAt:  make([]uint64, n),
+		pool:    pool[M]{slots: make([]pooled[M], 1), reserve: int32(n)},
+		flags:   make([]uint8, n),
 		chanDir: make([]pulse.Direction, 2*n),
 		outDir:  make([]pulse.Direction, 2*n),
-		peer:    make([]ring.Endpoint, 2*n),
-		peerCh:  make([]int, 2*n),
+		peerCh:  make([]int32, 2*n),
 		deliv:   make(bitset, (2*n+63)/64),
-		crashed: make([]bool, n),
 	}
 	for k := 0; k < n; k++ {
 		for _, p := range []pulse.Port{pulse.Port0, pulse.Port1} {
@@ -368,8 +424,8 @@ func newSim[M any](t ring.Topology, sched Scheduler) (*Sim[M], error) {
 			c := chanID(k, p)
 			s.chanDir[c] = t.ArrivalDirection(k, p)
 			s.outDir[c] = t.DirectionOf(k, p)
-			s.peer[c] = t.Peer(k, p)
-			s.peerCh[c] = chanID(s.peer[c].Node, s.peer[c].Port)
+			to := t.Peer(k, p)
+			s.peerCh[c] = int32(chanID(to.Node, to.Port))
 		}
 	}
 	s.em.s = s
@@ -481,6 +537,9 @@ func ChanNode(c int) int { return c / 2 }
 // ChanPort returns the receiving port of channel c.
 func ChanPort(c int) pulse.Port { return pulse.Port(c % 2) }
 
+// chanEndpoint is the receiving endpoint of channel c.
+func chanEndpoint(c int) ring.Endpoint { return ring.Endpoint{Node: ChanNode(c), Port: ChanPort(c)} }
+
 // dirSlot is direction d's index in Sim.sentDir: CW is 1, CCW is 0.
 func dirSlot(d pulse.Direction) int { return int(d & 1) }
 
@@ -549,12 +608,11 @@ func (s *Sim[M]) flushSends(from int, ev *Event) error {
 // toward a terminated node, consults the fault plane, and enqueues.
 func (s *Sim[M]) send(from int, p pulse.Port, msg M, ev *Event) error {
 	out := chanID(from, p)
-	dir, to := s.outDir[out], s.peer[out]
-	if s.termAt[to.Node] != 0 {
+	dir, c := s.outDir[out], int(s.peerCh[out])
+	if s.flags[ChanNode(c)]&nodeTerm != 0 {
 		return fmt.Errorf("%w: node %d sent %s toward node %d",
-			ErrPostTerminationSend, from, dir, to.Node)
+			ErrPostTerminationSend, from, dir, ChanNode(c))
 	}
-	c := s.peerCh[out]
 	if s.plane != nil {
 		switch s.plane.OnSend(s.step, c) {
 		case fault.Loss:
@@ -565,7 +623,7 @@ func (s *Sim[M]) send(from int, p pulse.Port, msg M, ev *Event) error {
 	}
 	s.enqueue(c, msg, dir)
 	if ev != nil {
-		ev.Sends = append(ev.Sends, SendRec{From: from, Port: p, Dir: dir, To: to})
+		ev.Sends = append(ev.Sends, SendRec{From: from, Port: p, Dir: dir, To: chanEndpoint(c)})
 	}
 	return nil
 }
@@ -578,7 +636,7 @@ func (s *Sim[M]) send(from int, p pulse.Port, msg M, ev *Event) error {
 func (s *Sim[M]) enqueue(c int, msg M, dir pulse.Direction) {
 	s.seq++
 	q := &s.queues[c]
-	q.push(entry[M]{seq: s.seq, cnt: 1, msg: msg})
+	s.pool.push(q, entry[M]{seq: s.seq, cnt: 1, msg: msg})
 	s.sent++
 	s.sentDir[dirSlot(dir)]++
 	if q.n == 1 {
@@ -592,7 +650,7 @@ func (s *Sim[M]) enqueue(c int, msg M, dir pulse.Direction) {
 		// heap re-registers. An undeliverable channel weighs 0 before
 		// and after the push.
 		if s.heavy != nil {
-			s.heavyPush(c, q.front().seq)
+			s.heavyPush(c, s.pool.front(q).seq)
 		}
 		s.reweigh(c, int64(q.tot))
 	}
@@ -606,16 +664,17 @@ func (s *Sim[M]) refreshChan(c int) {
 	q := &s.queues[c]
 	was := s.deliv.get(c)
 	var w int64 // c's weight: its pulse count while deliverable
-	if q.n > 0 && s.inited[k] && s.termAt[k] == 0 && !s.crashed[k] && s.mReady(k, ChanPort(c)) {
+	if q.n > 0 && s.flags[k] == nodeInit && s.mReady(k, ChanPort(c)) {
 		if !was {
 			s.deliv.set(c)
 			s.delivCount++
 		}
+		seq := s.pool.front(q).seq
 		if len(s.aux) > 0 {
-			s.auxPush(c, q.front().seq)
+			s.auxPush(c, seq)
 		}
 		if s.heavy != nil {
-			s.heavyPush(c, q.front().seq)
+			s.heavyPush(c, seq)
 		}
 		w = int64(q.tot)
 	} else if was {
@@ -633,8 +692,8 @@ func (s *Sim[M]) afterHandler(k int, ev *Event) error {
 	if st.Err != nil {
 		return fmt.Errorf("%w: node %d: %v", ErrMachineFault, k, st.Err)
 	}
-	if st.Terminated && s.termAt[k] == 0 {
-		s.termAt[k] = s.step + 1
+	if st.Terminated && s.flags[k]&nodeTerm == 0 {
+		s.flags[k] |= nodeTerm
 		s.ordTerm = append(s.ordTerm, k)
 		if s.queues[chanID(k, pulse.Port0)].n != 0 || s.queues[chanID(k, pulse.Port1)].n != 0 {
 			return fmt.Errorf("%w: node %d", ErrTerminatedNonEmpty, k)
@@ -665,10 +724,10 @@ func (s *Sim[M]) InitNode(k int) error {
 	if k < 0 || k >= s.topo.N() {
 		return fmt.Errorf("sim: init of node %d outside [0,%d)", k, s.topo.N())
 	}
-	if s.inited[k] {
+	if s.flags[k]&nodeInit != 0 {
 		return fmt.Errorf("sim: node %d already initialized", k)
 	}
-	s.inited[k] = true
+	s.flags[k] |= nodeInit
 	s.step++
 	var ev *Event
 	if len(s.obs) > 0 {
@@ -707,7 +766,7 @@ func (s *Sim[M]) deliverableRescan(dst []int) []int {
 			continue
 		}
 		k := ChanNode(c)
-		if !s.inited[k] || s.termAt[k] != 0 || s.crashed[k] {
+		if s.flags[k] != nodeInit {
 			continue
 		}
 		if !s.mReady(k, ChanPort(c)) {
@@ -758,11 +817,11 @@ func (s *Sim[M]) checkChoice(c int) error {
 	}
 	k, p := ChanNode(c), ChanPort(c)
 	switch {
-	case !s.inited[k]:
+	case s.flags[k]&nodeInit == 0:
 		return fmt.Errorf("sim: deliver to uninitialized node %d", k)
-	case s.termAt[k] != 0:
+	case s.flags[k]&nodeTerm != 0:
 		return s.fail(fmt.Errorf("%w: delivery attempted to node %d", ErrPostTerminationSend, k))
-	case s.crashed[k]:
+	case s.flags[k]&nodeCrash != 0:
 		return fmt.Errorf("sim: deliver to crashed node %d", k)
 	case !s.mReady(k, p):
 		return fmt.Errorf("sim: deliver on non-ready port %s of node %d", p, k)
@@ -776,7 +835,7 @@ func (s *Sim[M]) checkChoice(c int) error {
 // implies every check Deliver makes.
 func (s *Sim[M]) deliver(c int) error {
 	k, p := ChanNode(c), ChanPort(c)
-	head := s.queues[c].pop()
+	head := s.pool.pop(&s.queues[c])
 	s.delivered++
 	s.step++
 	var ev *Event
@@ -805,8 +864,8 @@ func (s *Sim[M]) InFlight() uint64 { return s.sent - s.delivered }
 // Quiescent reports that every node has initialized and no message is
 // queued anywhere: by event-drivenness, no further state change can occur.
 func (s *Sim[M]) Quiescent() bool {
-	for _, in := range s.inited {
-		if !in {
+	for _, f := range s.flags {
+		if f&nodeInit == 0 {
 			return false
 		}
 	}
@@ -831,11 +890,16 @@ func (s *Sim[M]) Topology() ring.Topology { return s.topo }
 // Step returns the number of handler invocations so far.
 func (s *Sim[M]) Step() uint64 { return s.step }
 
-// QueueLen returns the number of messages queued on channel c. On the
-// batched fast path this counts pulses, not run entries, so schedulers
-// that weight by queue length (Random) see the same quantity on both
-// paths.
-func (s *Sim[M]) QueueLen(c int) int { return int(s.queues[c].tot) }
+// QueueLen returns the number of messages queued on channel c, and 0
+// for a channel outside [0, 2n). On the batched fast path this counts
+// pulses, not run entries, so schedulers that weight by queue length
+// (Random) see the same quantity on both paths.
+func (s *Sim[M]) QueueLen(c int) int {
+	if uint(c) >= uint(len(s.queues)) {
+		return 0
+	}
+	return int(s.queues[c].tot)
+}
 
 // RunsCoalesced reports the batch fast path's win so far: the number of
 // batch transitions executed and, of those, how many consumed more than
@@ -848,7 +912,7 @@ func (s *Sim[M]) RunsCoalesced() (transitions, multi uint64) { return s.runs, s.
 // total number of handler invocations.
 func (s *Sim[M]) Run(limit uint64) (Result, error) {
 	for k := 0; k < s.topo.N(); k++ {
-		if s.inited[k] {
+		if s.flags[k]&nodeInit != 0 {
 			continue
 		}
 		if err := s.InitNode(k); err != nil {
@@ -912,8 +976,8 @@ func (s *Sim[M]) RunDeliveries(limit uint64) (Result, error) {
 }
 
 func (s *Sim[M]) allTerminated() bool {
-	for k := range s.termAt {
-		if s.termAt[k] == 0 {
+	for _, f := range s.flags {
+		if f&nodeTerm == 0 {
 			return false
 		}
 	}
