@@ -204,3 +204,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAlg3Election -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzChunkAssembler -fuzztime=10s ./internal/defective
 	$(GO) test -run='^$$' -fuzz=FuzzFrameCodec -fuzztime=10s ./internal/defective
+	$(GO) test -run='^$$' -fuzz=FuzzCheckDistinct -fuzztime=10s ./internal/ring

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -120,8 +121,26 @@ func MaxIndex(ids []uint64) (idx int, unique bool) {
 }
 
 // CheckDistinct verifies that all IDs are positive and pairwise distinct,
-// as the unique-ID model of Section 2 requires.
+// as the unique-ID model of Section 2 requires. It reports the first
+// violation in node order. The check sorts a copy, one 8 B/node
+// allocation and linear time on the sorted assignments most callers
+// pass; only a failing assignment pays for the scan that names the
+// violation.
 func CheckDistinct(ids []uint64) error {
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	for i, id := range sorted {
+		if id == 0 || i > 0 && id == sorted[i-1] {
+			return firstViolation(ids)
+		}
+	}
+	return nil
+}
+
+// firstViolation returns CheckDistinct's error for ids, which hold a
+// zero or a repeat: whichever comes first in node order, a repeat named
+// by its first two occurrences.
+func firstViolation(ids []uint64) error {
 	seen := make(map[uint64]int, len(ids))
 	for i, id := range ids {
 		if id == 0 {

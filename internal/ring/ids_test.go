@@ -1,6 +1,8 @@
 package ring_test
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -118,6 +120,75 @@ func TestCheckDistinct(t *testing.T) {
 	if err := ring.CheckDistinct([]uint64{0, 1}); err == nil {
 		t.Error("zero ID accepted")
 	}
+}
+
+// TestCheckDistinctErrors pins which violation CheckDistinct reports and
+// its exact text: the first one in node order, a zero ID or the second
+// occurrence of a repeated ID (named with its first occurrence's node).
+func TestCheckDistinctErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		ids  []uint64
+		want string // "" for nil
+		dup  bool   // whether the error wraps ErrDuplicateID
+	}{
+		{"empty", nil, "", false},
+		{"single", []uint64{7}, "", false},
+		{"single zero", []uint64{0}, "ring: node 0 has ID 0; IDs must be positive", false},
+		{"zero before duplicate", []uint64{3, 0, 3}, "ring: node 1 has ID 0; IDs must be positive", false},
+		{"duplicate before zero", []uint64{3, 3, 0}, "ring: duplicate ID: nodes 0 and 1 both have ID 3", true},
+		{"earlier second occurrence wins", []uint64{9, 2, 9, 2}, "ring: duplicate ID: nodes 0 and 2 both have ID 9", true},
+		{"nested groups", []uint64{5, 7, 7, 5}, "ring: duplicate ID: nodes 1 and 2 both have ID 7", true},
+		{"triple", []uint64{4, 1, 4, 4}, "ring: duplicate ID: nodes 0 and 2 both have ID 4", true},
+		{"max uint64 repeated", []uint64{^uint64(0), 1, ^uint64(0)}, "ring: duplicate ID: nodes 0 and 2 both have ID 18446744073709551615", true},
+	}
+	for _, tc := range cases {
+		err := ring.CheckDistinct(tc.ids)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: CheckDistinct(%v) = %v, want nil", tc.name, tc.ids, err)
+		case tc.want != "" && (err == nil || err.Error() != tc.want):
+			t.Errorf("%s: CheckDistinct(%v) = %v, want %q", tc.name, tc.ids, err, tc.want)
+		case errors.Is(err, ring.ErrDuplicateID) != tc.dup:
+			t.Errorf("%s: errors.Is(%v, ErrDuplicateID) = %v, want %v", tc.name, err, !tc.dup, tc.dup)
+		}
+	}
+}
+
+// naiveCheckDistinct is CheckDistinct's O(n^2) reference: the first
+// violation in node order, with the same texts.
+func naiveCheckDistinct(ids []uint64) error {
+	for i, id := range ids {
+		if id == 0 {
+			return fmt.Errorf("ring: node %d has ID 0; IDs must be positive", i)
+		}
+		for j := 0; j < i; j++ {
+			if ids[j] == id {
+				return fmt.Errorf("%w: nodes %d and %d both have ID %d", ring.ErrDuplicateID, j, i, id)
+			}
+		}
+	}
+	return nil
+}
+
+// FuzzCheckDistinct compares CheckDistinct with the naive reference. Each
+// byte is one ID, so short inputs repeat IDs and hold zeros often; shift
+// moves the nonzero IDs up the 64-bit range.
+func FuzzCheckDistinct(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{1, 2, 3}, uint8(0))
+	f.Add([]byte{3, 0, 3}, uint8(5))
+	f.Add([]byte{9, 2, 9, 2}, uint8(63))
+	f.Fuzz(func(t *testing.T, data []byte, shift uint8) {
+		ids := make([]uint64, len(data))
+		for i, b := range data {
+			ids[i] = uint64(b) << (shift % 57)
+		}
+		got, want := ring.CheckDistinct(ids), naiveCheckDistinct(ids)
+		if fmt.Sprint(got) != fmt.Sprint(want) || errors.Is(got, ring.ErrDuplicateID) != errors.Is(want, ring.ErrDuplicateID) {
+			t.Fatalf("CheckDistinct(%v) = %v, want %v", ids, got, want)
+		}
+	})
 }
 
 // TestSparseIDsProperty: sparse assignments are always distinct and within

@@ -288,7 +288,9 @@ func (s *Sim[M]) heavyPush(c int, seq uint64) {
 // single entry in place and restores heap order around it. Together
 // with the hot entry, at most one entry per channel ever exists, so h
 // never grows past the channel count and heavyBest never drains
-// key-stale junk.
+// key-stale junk. The first insert reserves that bound, so h is
+// allocated once and never regrows; reserving at construction instead
+// would charge New for a heap that a run may never fill.
 func (a *heavyHeap) fix(e heavyEntry) {
 	if i := a.pos[e.c]; i > 0 {
 		if a.h[i-1] == e {
@@ -297,6 +299,9 @@ func (a *heavyHeap) fix(e heavyEntry) {
 		a.h[i-1] = e
 		a.reheap(int(i - 1))
 		return
+	}
+	if a.h == nil {
+		a.h = make([]heavyEntry, 0, len(a.pos))
 	}
 	a.h = append(a.h, e)
 	a.pos[e.c] = int32(len(a.h))

@@ -17,9 +17,11 @@ import (
 // (B/node-new: queue headers, wiring, node state, heap indexes; the
 // machine bank is built before and not counted) and what Run adds to it
 // by quiescence (B/node-run: queued entries, heaps and the termination
-// order; the returned Result is dropped first), plus allocs/op of New
-// and Run together. Live bytes are read with runtime.ReadMemStats after
-// a forced GC, outside the timed region. The two configurations are the
+// order; the returned Result is dropped first), what Run allocates in
+// all (B/node-alloc: the TotalAlloc delta, growth garbage and the
+// returned Result included), plus allocs/op of New and Run together.
+// Live bytes are read with runtime.ReadMemStats after a forced GC,
+// outside the timed region. The two configurations are the
 // ledger's: elect-batch (Algorithm 2, 2^16 consecutive IDs, flat bank,
 // Heaviest, batching) and elect-pulse (Algorithm 3, successor IDs,
 // random non-oriented 128-ring, pointer machines, Random).
@@ -63,13 +65,13 @@ func BenchmarkQueueFootprint(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			rng := rand.New(rand.NewSource(1))
+			var m runtime.MemStats
 			live := func() int64 {
-				var m runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&m)
 				return int64(m.HeapAlloc)
 			}
-			var newBytes, runBytes int64
+			var newBytes, runBytes, runAlloc int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				build, err := cfg.prepare(cfg.n, rng)
@@ -84,6 +86,7 @@ func BenchmarkQueueFootprint(b *testing.B) {
 				}
 				b.StopTimer()
 				built := live()
+				allocBefore := m.TotalAlloc
 				b.StartTimer()
 				res, err := s.Run(math.MaxUint64)
 				if err != nil {
@@ -97,11 +100,13 @@ func BenchmarkQueueFootprint(b *testing.B) {
 				runtime.KeepAlive(s)
 				newBytes += built - before
 				runBytes += ran - built
+				runAlloc += int64(m.TotalAlloc - allocBefore)
 				b.StartTimer()
 			}
 			per := float64(b.N) * float64(cfg.n)
 			b.ReportMetric(float64(newBytes)/per, "B/node-new")
 			b.ReportMetric(float64(runBytes)/per, "B/node-run")
+			b.ReportMetric(float64(runAlloc)/per, "B/node-alloc")
 		})
 	}
 }

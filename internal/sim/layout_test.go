@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -49,5 +50,39 @@ func TestNewFlatBytesPerNode(t *testing.T) {
 	runtime.KeepAlive(s)
 	if perNode := float64(after.TotalAlloc-before.TotalAlloc) / n; perNode > 100 {
 		t.Errorf("NewFlat allocated %.1f B/node, want <= 100: the simulator's per-node footprint is peak RSS at scale (E15)", perNode)
+	}
+}
+
+// TestRunBytesPerNode bounds what Run allocates per node for the same
+// configuration, the returned Result included: the pool, the Heaviest
+// heap and the termination order are each allocated once at their
+// bound, so no structure leaves append-growth garbage behind. The
+// bound is exact for the same reason as TestNewFlatBytesPerNode's.
+func TestRunBytesPerNode(t *testing.T) {
+	const n = 1 << 16
+	topo, err := ring.Oriented(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank, err := core.NewFlatAlg2(topo, ring.ConsecutiveIDs(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewFlat[pulse.Pulse](topo, bank, Heaviest{}, WithBatching())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := s.Run(math.MaxUint64)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Leader < 0 {
+		t.Fatalf("no unique leader: %v", res.Leaders)
+	}
+	if perNode := float64(after.TotalAlloc-before.TotalAlloc) / n; perNode > 128 {
+		t.Errorf("Run allocated %.1f B/node, want <= 128: growth garbage is peak RSS at scale (E15)", perNode)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"coleader/internal/fault"
 	"coleader/internal/node"
@@ -273,7 +272,9 @@ func (p *pool[M]) alloc(e entry[M]) int32 {
 		return i
 	}
 	if len(p.slots) == 1 {
-		p.slots = slices.Grow(p.slots, int(p.reserve))
+		// Not slices.Grow: under -race its append(s, make(n)...) also
+		// allocates the temporary, so the pool would cost twice.
+		p.slots = append(make([]pooled[M], 0, 1+p.reserve), p.slots[0])
 	}
 	p.slots = append(p.slots, pooled[M]{entry: e})
 	return int32(len(p.slots) - 1)
@@ -694,6 +695,11 @@ func (s *Sim[M]) afterHandler(k int, ev *Event) error {
 	}
 	if st.Terminated && s.flags[k]&nodeTerm == 0 {
 		s.flags[k] |= nodeTerm
+		if s.ordTerm == nil {
+			// One termination per node is the common bound (a restart
+			// can add more), so the order is allocated once.
+			s.ordTerm = make([]int, 0, len(s.flags))
+		}
 		s.ordTerm = append(s.ordTerm, k)
 		if s.queues[chanID(k, pulse.Port0)].n != 0 || s.queues[chanID(k, pulse.Port1)].n != 0 {
 			return fmt.Errorf("%w: node %d", ErrTerminatedNonEmpty, k)
