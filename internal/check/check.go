@@ -6,10 +6,12 @@
 // model of Section 2, turning claims like "Theorem 1 holds under every
 // schedule" into machine-checked facts for small instances.
 //
-// Every machine must be node.Cloneable and node.Undoable, and its
-// SnapshotTo bytes are its memo key: a content-oblivious node's state is a
-// few counters and flags, its construction constants are fixed per node
-// index, and the memo salts each machine's key by that index. The state
+// Every machine must be node.Undoable, and its SnapshotTo bytes are its
+// whole explored state: its undo record, its memo key, and what a parallel
+// worker restores a handed-off subtree from. A content-oblivious node's
+// state is a few counters and flags, its construction constants are fixed
+// per node index — every Config.NewMachines call must build the same ones
+// — and the memo salts each machine's key by that index. The state
 // space is pruned by memoizing canonical states (each machine's snapshot
 // plus per-channel queue depths and init bits), which keeps the
 // exploration polynomial in ID_max for the paper's algorithms even though
@@ -32,9 +34,11 @@
 //     and never builds the whole state key. MemoAudit certifies a run
 //     collision-free.
 //   - Parallel exploration (Config.Workers > 1): a work-sharing pool over
-//     subtree tasks with the visited set sharded behind per-shard locks;
-//     a worker shares a branch by applying it, deep-copying the successor
-//     state into a task, and reverting.
+//     subtree tasks with the visited set sharded behind per-shard locks.
+//     Every worker runs the undo DFS over machines of its own; it shares a
+//     branch by applying it, copying the successor's machine snapshots,
+//     queues and fault plane into a task, and reverting, and it starts a
+//     task by restoring its machines from the task's snapshots.
 //     Because every path to a state has the same length (each step is one
 //     init or one delivery, both counted by the state itself), the report
 //     counters are functions of the reachable-state closure and therefore
@@ -76,8 +80,12 @@ type Config struct {
 	Topo ring.Topology
 
 	// NewMachines returns fresh machines for the exploration's root state.
-	// Every machine must implement node.Cloneable and node.Undoable; its
-	// snapshot is both its undo record and its memo key.
+	// Every machine must implement node.Undoable; its snapshot is its undo
+	// record, its memo key and its part of a parallel worker's task. It is
+	// called once for the root, once per parallel worker, and again for
+	// the sequential rerun after a parallel failure; every call must return
+	// machines with the same construction constants (IDs, port labels,
+	// schemes, seeds), which snapshots leave out.
 	NewMachines func() ([]node.PulseMachine, error)
 
 	// ExploreInits also branches over node wake-up interleavings. When
@@ -141,8 +149,8 @@ var (
 	// short of its frontier, and more states would not help.
 	ErrDepthBound = fmt.Errorf("%w (schedule depth bound)", ErrStateBudget)
 
-	// ErrNotExplorable: NewMachines returned a machine that is not both
-	// node.Cloneable and node.Undoable.
+	// ErrNotExplorable: NewMachines returned a machine that is not
+	// node.Undoable.
 	ErrNotExplorable = errors.New("check: machine cannot be explored")
 )
 
@@ -160,11 +168,10 @@ func depthError(depth int, steps []Step) error {
 	return wrapWitness(fmt.Errorf("%w: depth %d exceeds %d", ErrDepthBound, depth, maxDepth), steps)
 }
 
-// machine is what the explorer requires of every node: a deep copy for
-// handing a subtree to another worker, and one snapshot encoding for undo,
-// fault injection and the memo key.
+// machine is what the explorer requires of every node: one snapshot
+// encoding for undo, fault injection, the memo key and parallel handoff.
 type machine interface {
-	node.Cloneable[pulse.Pulse]
+	node.PulseMachine
 	node.Undoable
 }
 
@@ -257,27 +264,9 @@ func runSequential(cfg Config) (FaultReport, error) {
 // self-contained.
 func buildRoot(cfg Config) (*state, []Step, error) {
 	n := cfg.Topo.N()
-	ms, err := cfg.NewMachines()
+	st, err := newState(cfg)
 	if err != nil {
 		return nil, nil, err
-	}
-	if len(ms) != n {
-		return nil, nil, fmt.Errorf("check: %d machines for %d nodes", len(ms), n)
-	}
-	st := &state{
-		ms:     make([]machine, n),
-		queues: make([]uint32, 2*n),
-		inited: make([]bool, n),
-	}
-	for k, m := range ms {
-		if _, ok := m.(node.Cloneable[pulse.Pulse]); !ok {
-			return nil, nil, fmt.Errorf("%w: machine %d does not implement node.Cloneable", ErrNotExplorable, k)
-		}
-		c, ok := m.(machine)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: machine %d does not implement node.Undoable", ErrNotExplorable, k)
-		}
-		st.ms[k] = c
 	}
 	if cfg.plan.Active() {
 		st.fx = newFaultX(cfg.plan, st.ms)
@@ -294,6 +283,32 @@ func buildRoot(cfg Config) (*state, []Step, error) {
 		}
 	}
 	return st, steps, nil
+}
+
+// newState validates fresh machines from cfg.NewMachines and wraps them in
+// a state with empty queues, no init bits and no fault plane.
+func newState(cfg Config) (*state, error) {
+	n := cfg.Topo.N()
+	ms, err := cfg.NewMachines()
+	if err != nil {
+		return nil, err
+	}
+	if len(ms) != n {
+		return nil, fmt.Errorf("check: %d machines for %d nodes", len(ms), n)
+	}
+	st := &state{
+		ms:     make([]machine, n),
+		queues: make([]uint32, 2*n),
+		inited: make([]bool, n),
+	}
+	for k, m := range ms {
+		c, ok := m.(machine)
+		if !ok {
+			return nil, fmt.Errorf("%w: machine %d does not implement node.Undoable", ErrNotExplorable, k)
+		}
+		st.ms[k] = c
+	}
+	return st, nil
 }
 
 // wrapWitness attaches a copy of the schedule so far to an error.
@@ -313,20 +328,6 @@ type state struct {
 	inited []bool
 	sent   uint64
 	fx     *faultX
-}
-
-func (st *state) clone() *state {
-	cp := &state{
-		ms:     make([]machine, len(st.ms)),
-		queues: append([]uint32(nil), st.queues...),
-		inited: append([]bool(nil), st.inited...),
-		sent:   st.sent,
-		fx:     st.fx.clone(),
-	}
-	for i, m := range st.ms {
-		cp.ms[i] = m.CloneMachine().(machine)
-	}
-	return cp
 }
 
 // collector implements node.Emitter against the state's queues. Every
@@ -368,6 +369,19 @@ func (st *state) afterHandler(k int) error {
 		return fmt.Errorf("%w: node %d terminated with queued pulses", ErrViolation, k)
 	}
 	return nil
+}
+
+// add folds another explorer's report into rep: every counter sums, and
+// MaxDepth is the larger of the two.
+func (rep *FaultReport) add(o FaultReport) {
+	rep.StatesVisited += o.StatesVisited
+	rep.TerminalStates += o.TerminalStates
+	rep.MaxDepth = max(rep.MaxDepth, o.MaxDepth)
+	rep.InjectionEdges += o.InjectionEdges
+	rep.ViolationEdges += o.ViolationEdges
+	rep.CleanTerminals += o.CleanTerminals
+	rep.DegradedTerminals += o.DegradedTerminals
+	rep.StalledTerminals += o.StalledTerminals
 }
 
 // countTerminal records the classification of one faulted terminal state.

@@ -210,7 +210,7 @@ func TestExhaustiveAlg3(t *testing.T) {
 
 // TestExhaustiveAlg3Resample explores the RANDOMIZED machine of
 // Proposition 19 under every schedule — possible because its PRNG state
-// clones with the machine. Every terminal state must be quiescent with the
+// snapshots with the machine. Every terminal state must be quiescent with the
 // exact Theorem 2 pulse count, the unique-max node leading, and all final
 // IDs distinct whenever every non-max node resampled at least once into
 // the (deliberately huge) [1, ID_max-1] range.
@@ -297,11 +297,6 @@ func (q *eagerQuitter) Status() node.Status {
 	return node.Status{Terminated: q.terminated, State: node.StateLeader}
 }
 
-func (q *eagerQuitter) CloneMachine() node.PulseMachine {
-	cp := *q
-	return &cp
-}
-
 func (q *eagerQuitter) SnapshotTo(buf []byte) []byte {
 	buf = node.AppendKey64(buf, uint64(q.got))
 	if q.terminated {
@@ -320,11 +315,6 @@ func (q *eagerQuitter) Restore(snap []byte) {
 type misrouted struct{ eagerQuitter }
 
 func (m *misrouted) Init(e node.PulseEmitter) { e.Send(pulse.Port(2), pulse.Pulse{}) }
-
-func (m *misrouted) CloneMachine() node.PulseMachine {
-	cp := *m
-	return &cp
-}
 
 // TestInvalidSendPortViolation: a send on a port other than Port0 and
 // Port1 is a violation naming the node and the port, as on the simulator
@@ -357,15 +347,14 @@ func TestExhaustiveValidation(t *testing.T) {
 	if _, err := check.Exhaustive(check.Config{Topo: topo}); err == nil {
 		t.Error("nil NewMachines accepted")
 	}
-	// A machine must be both Cloneable and Undoable; either gap is a
-	// structured error naming the machine's index, from both entry points.
+	// A machine must be Undoable; a gap is a structured error naming the
+	// machine's index, from both entry points.
 	topo2, _ := ring.Oriented(2)
 	for _, tc := range []struct {
 		name, want string
 		m          node.PulseMachine
 	}{
-		{"non-cloneable", "machine 1 does not implement node.Cloneable", plainMachine{}},
-		{"non-undoable", "machine 1 does not implement node.Undoable", &cloneOnly{}},
+		{"non-undoable", "machine 1 does not implement node.Undoable", plainMachine{}},
 	} {
 		cfg := check.Config{
 			Topo: topo2,
@@ -389,12 +378,6 @@ func (plainMachine) Init(node.PulseEmitter)                           {}
 func (plainMachine) OnMsg(pulse.Port, pulse.Pulse, node.PulseEmitter) {}
 func (plainMachine) Ready(pulse.Port) bool                            { return true }
 func (plainMachine) Status() node.Status                              { return node.Status{} }
-
-// cloneOnly is Cloneable but has no snapshot: the explorer can neither
-// undo its steps nor key its state.
-type cloneOnly struct{ plainMachine }
-
-func (c *cloneOnly) CloneMachine() node.PulseMachine { return &cloneOnly{} }
 
 // TestStateBudget: a tiny budget trips ErrStateBudget.
 func TestStateBudget(t *testing.T) {

@@ -33,12 +33,8 @@ func (r *relay) OnMsg(_ pulse.Port, _ pulse.Pulse, e node.PulseEmitter) {
 	}
 }
 
-func (r *relay) Ready(pulse.Port) bool { return true }
-func (r *relay) Status() node.Status   { return node.Status{} }
-func (r *relay) CloneMachine() node.PulseMachine {
-	cp := *r
-	return &cp
-}
+func (r *relay) Ready(pulse.Port) bool        { return true }
+func (r *relay) Status() node.Status          { return node.Status{} }
 func (r *relay) SnapshotTo(buf []byte) []byte { return node.AppendKey64(buf, r.fwd) }
 func (r *relay) Restore(snap []byte)          { r.fwd = node.Key64(snap) }
 

@@ -6,50 +6,82 @@ import (
 	"sync/atomic"
 )
 
-// The parallel explorer shares subtrees across workers: a worker running
-// depth-first over its own mutable state (a stepper) applies each branch
-// in place and, whenever the shared queue runs low, hands the successor
-// off as a deep-copied subtree-root task instead of recursing into it;
-// either way it reverts the step afterwards. The visited set is the
-// sharded memo table.
+// The parallel explorer shares subtrees across workers. Each worker is an
+// undoExplorer over machines of its own and runs the same dfs as the
+// sequential engine; whenever the shared queue runs low, it hands a
+// successor off as a subtree-root task — the state's machine snapshots,
+// queue depths, init bits, sent counter and fault plane — instead of
+// recursing into it, and reverts the step either way. A worker starts a
+// task by restoring its machines from the task's snapshots. The visited
+// set is the sharded memo table.
 //
 // Determinism contract. On success the Report is exact, not approximate:
 // every path from the root to a state S has the same length (each step
 // either sets one init bit or moves one pulse, and S fixes its init bits,
 // queue depths, and sent counter), so StatesVisited, TerminalStates, and
 // MaxDepth are functions of the reachable-state closure — which is the
-// same set regardless of exploration order. On ANY failure (violation,
-// stall, state or depth budget, audit collision) the counters and the
-// failing schedule DO depend on order, so runParallel discards the
-// partial run and reruns
-// the sequential undo engine, which yields the canonical first witness
-// and the same Report the sequential explorer would produce. Errors are
-// the rare, terminal case; the common (passing) case keeps full speedup.
+// same set regardless of exploration order. Each state is expanded by
+// exactly one worker (the shared memo admits it once), so summing the
+// workers' reports, and taking the largest MaxDepth, yields the sequential
+// report. On ANY failure (violation, stall, state or depth budget, audit
+// collision) the counters and the failing schedule DO depend on order, so
+// runParallel discards the partial run and reruns the sequential undo
+// engine, which yields the canonical first witness and the same Report the
+// sequential explorer would produce. Errors are the rare, terminal case;
+// the common (passing) case keeps full speedup.
 
-// parTask is a subtree root: a privately owned state plus its depth.
+// parTask is a subtree root: a privately owned copy of one state plus its
+// depth. Machine k's snapshot is snaps[offs[k]:offs[k+1]].
 type parTask struct {
-	st    *state
-	depth int
+	snaps  []byte
+	offs   []int32
+	queues []uint32
+	inited []bool
+	sent   uint64
+	fx     *faultX
+	depth  int
 }
 
+// task copies st into a subtree-root task at the given depth.
+func (st *state) task(depth int) parTask {
+	t := parTask{
+		offs:   make([]int32, 1, len(st.ms)+1),
+		queues: append([]uint32(nil), st.queues...),
+		inited: append([]bool(nil), st.inited...),
+		sent:   st.sent,
+		fx:     st.fx.clone(),
+		depth:  depth,
+	}
+	for _, m := range st.ms {
+		t.snaps = m.SnapshotTo(t.snaps)
+		t.offs = append(t.offs, int32(len(t.snaps)))
+	}
+	return t
+}
+
+// load makes st the task's state: its machines restore from the task's
+// snapshots, and st takes over the task's fault plane.
+func (st *state) load(t parTask) {
+	for k, m := range st.ms {
+		m.Restore(t.snaps[t.offs[k]:t.offs[k+1]])
+	}
+	copy(st.queues, t.queues)
+	copy(st.inited, t.inited)
+	st.sent = t.sent
+	st.fx = t.fx
+}
+
+// errAbandoned unwinds a worker once another worker has failed.
+var errAbandoned = errors.New("check: exploration abandoned")
+
 type parExplorer struct {
-	cfg  Config
-	memo *shardedMemo
+	workers int
 
-	states    atomic.Int64
-	terminals atomic.Int64
-	maxDepth  atomic.Int64
-	failed    atomic.Bool
-
-	// Fault-mode outcome counters; always zero in faultless runs. Like the
-	// base counters they are exact: each state is expanded exactly once
-	// (the memo folds the fault plane into the key), and every counter is
-	// a function of the expanded state.
-	injEdges  atomic.Int64
-	violEdges atomic.Int64
-	cleanT    atomic.Int64
-	degradedT atomic.Int64
-	stalledT  atomic.Int64
+	// states counts the distinct states every worker visited: the state
+	// budget is checked on it, so a divergent exploration stops near
+	// MaxStates in total at any width.
+	states atomic.Int64
+	failed atomic.Bool
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -70,16 +102,25 @@ func runParallel(cfg Config) (FaultReport, error) {
 	if err != nil {
 		return FaultReport{}, err
 	}
-	p := &parExplorer{cfg: cfg, memo: memo}
+	p := &parExplorer{workers: cfg.Workers}
 	p.cond = sync.NewCond(&p.mu)
-	p.push(parTask{st: root, depth: 0})
+	exs := make([]*undoExplorer, cfg.Workers)
+	for i := range exs {
+		st, err := newState(cfg)
+		if err != nil {
+			return FaultReport{}, err
+		}
+		exs[i] = &undoExplorer{cfg: cfg, memo: memo, pool: p}
+		exs[i].stepper = stepper{topo: cfg.Topo, n: cfg.Topo.N(), st: st}
+	}
+	p.push(root.task(0))
 
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Workers; i++ {
+	for _, ex := range exs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.work()
+			p.work(ex)
 		}()
 	}
 	wg.Wait()
@@ -87,115 +128,41 @@ func runParallel(cfg Config) (FaultReport, error) {
 	if p.failed.Load() {
 		return runSequential(cfg)
 	}
-	return FaultReport{
-		Report: Report{
-			StatesVisited:  int(p.states.Load()),
-			TerminalStates: int(p.terminals.Load()),
-			MaxDepth:       int(p.maxDepth.Load()),
-		},
-		InjectionEdges:    int(p.injEdges.Load()),
-		ViolationEdges:    int(p.violEdges.Load()),
-		CleanTerminals:    int(p.cleanT.Load()),
-		DegradedTerminals: int(p.degradedT.Load()),
-		StalledTerminals:  int(p.stalledT.Load()),
-	}, nil
+	var rep FaultReport
+	for _, ex := range exs {
+		rep.add(ex.rep)
+	}
+	return rep, nil
 }
 
-func (p *parExplorer) work() {
-	sp := &stepper{topo: p.cfg.Topo, n: p.cfg.Topo.N()}
+// work runs tasks on one worker's explorer until the pool is done.
+func (p *parExplorer) work(ex *undoExplorer) {
 	for {
 		t, ok := p.pop()
 		if !ok {
 			return
 		}
-		sp.reset(t.st)
-		p.dfs(sp, t.depth)
+		ex.st.load(t)
+		ex.reset(ex.st)
+		ex.steps = ex.steps[:0]
+		if err := ex.dfs(t.depth); err != nil {
+			p.fail()
+			return
+		}
 		p.taskDone()
 	}
 }
 
-// dfs is the worker-local exploration of one subtree. Bookkeeping mirrors
-// undoExplorer.dfs with atomics; witnesses are not tracked (the sequential
-// rerun reconstructs them).
-func (p *parExplorer) dfs(sp *stepper, depth int) {
-	if p.failed.Load() {
-		return
+// peel hands the current state, at the given depth, to the pool as a task
+// when the shared queue is low enough that branches should be shared
+// rather than recursed in place, and reports whether it did.
+func (ex *undoExplorer) peel(depth int) bool {
+	p := ex.pool
+	if int(p.queueLen.Load()) >= 2*p.workers {
+		return false
 	}
-	added, err := p.memo.insert(sp.fingerprint(), sp.memoKey(p.cfg.Memo))
-	if err != nil {
-		p.fail()
-		return
-	}
-	if !added {
-		return
-	}
-	if p.states.Add(1) > int64(p.cfg.MaxStates) || depth > maxDepth {
-		p.fail()
-		return
-	}
-	for {
-		d := p.maxDepth.Load()
-		if int64(depth) <= d || p.maxDepth.CompareAndSwap(d, int64(depth)) {
-			break
-		}
-	}
-
-	base, end := sp.pushChoices()
-	if base == end {
-		p.terminals.Add(1)
-		out, verr := sp.terminalOutcome(p.cfg.Check)
-		if sp.st.fx.faulted() {
-			switch out {
-			case terminalClean:
-				p.cleanT.Add(1)
-			case terminalDegraded:
-				p.degradedT.Add(1)
-			case terminalStalled:
-				p.stalledT.Add(1)
-			}
-		} else if verr != nil {
-			p.fail()
-			return
-		}
-	}
-	fend := end
-	if fx := sp.st.fx; fx != nil && len(fx.log) < fx.plan.Budget {
-		fend = sp.pushFaultChoices()
-	}
-	for i := base; i < fend; i++ {
-		step := sp.stepAt(i)
-		if step.Fault != 0 {
-			p.injEdges.Add(1)
-		}
-		fr, err := sp.apply(step)
-		if err != nil {
-			if errors.Is(err, ErrViolation) && sp.st.fx.faulted() {
-				p.violEdges.Add(1)
-				sp.revert(fr)
-				continue
-			}
-			p.fail()
-			return
-		}
-		if p.starving() {
-			// Peel this branch off as a shareable task instead of
-			// recursing into it.
-			p.push(parTask{st: sp.st.clone(), depth: depth + 1})
-		} else {
-			p.dfs(sp, depth+1)
-			if p.failed.Load() {
-				return // state and arenas are stale; the run is abandoned
-			}
-		}
-		sp.revert(fr)
-	}
-	sp.popChoices(base)
-}
-
-// starving reports whether the shared queue is low enough that branches
-// should be shared rather than recursed in place.
-func (p *parExplorer) starving() bool {
-	return int(p.queueLen.Load()) < 2*p.cfg.Workers
+	p.push(ex.st.task(depth))
+	return true
 }
 
 func (p *parExplorer) push(t parTask) {

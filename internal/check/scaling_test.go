@@ -26,6 +26,10 @@ func diffCases(t *testing.T) []diffCase {
 	t.Helper()
 	budget := alg2Config(t, []uint64{1, 2, 3}, false)
 	budget.MaxStates = 5
+	// One state short of the instance's 2,993: every width must stop on
+	// it, which holds only if the workers share one state count.
+	resampleBudget := resampleConfig(t)
+	resampleBudget.MaxStates = 2992
 	return []diffCase{
 		{"alg2-312", alg2Config(t, []uint64{3, 1, 2}, false)},
 		{"alg2-231-inits", alg2Config(t, []uint64{2, 3, 1}, true)},
@@ -34,6 +38,8 @@ func diffCases(t *testing.T) []diffCase {
 		{"unguarded-13", unguardedConfig(t, []uint64{1, 3})},
 		{"unguarded-132", unguardedConfig(t, []uint64{1, 3, 2})},
 		{"budget", budget},
+		{"resample", resampleConfig(t)}, // its PRNG state reaches other workers in task snapshots
+		{"resample-budget", resampleBudget},
 	}
 }
 
@@ -104,6 +110,11 @@ var cloneOutcomes = map[string]string{
 		"witness schedule (8 steps; replay with check.Replay) witness=[init 0 init 1 init 2" +
 		" deliver ch0 (node 0 port 0) deliver ch2 (node 1 port 0) deliver ch4 (node 2 port 0)" +
 		" deliver ch0 (node 0 port 0) deliver ch2 (node 1 port 0)]",
+	"resample": "rep={StatesVisited:2993 TerminalStates:21 MaxDepth:39}",
+	"resample-budget": "rep={StatesVisited:2992 TerminalStates:21 MaxDepth:39}" +
+		" err=check: state budget exceeded (2992)\n" +
+		"witness schedule (4 steps; replay with check.Replay) witness=[init 0 init 1 init 2" +
+		" deliver ch5 (node 2 port 1)]",
 }
 
 // TestUndoMatchesClone: the undo engine must reproduce the clone engine's
@@ -209,10 +220,6 @@ func (d *deafMachine) Init(e node.PulseEmitter) {
 func (d *deafMachine) OnMsg(pulse.Port, pulse.Pulse, node.PulseEmitter) {}
 func (d *deafMachine) Ready(pulse.Port) bool                            { return false }
 func (d *deafMachine) Status() node.Status                              { return node.Status{} }
-func (d *deafMachine) CloneMachine() node.PulseMachine {
-	cp := *d
-	return &cp
-}
 func (d *deafMachine) SnapshotTo(buf []byte) []byte {
 	if d.sent {
 		return append(buf, 1)
@@ -245,10 +252,6 @@ func (f *faultyInit) Status() node.Status {
 		return node.Status{Err: errors.New("init fault")}
 	}
 	return node.Status{}
-}
-func (f *faultyInit) CloneMachine() node.PulseMachine {
-	cp := *f
-	return &cp
 }
 
 // TestInitPrefixViolation: a violation inside the upfront init prefix
@@ -329,12 +332,8 @@ func (f *forever) OnMsg(_ pulse.Port, _ pulse.Pulse, e node.PulseEmitter) {
 	f.fwd++
 	e.Send(pulse.Port1, pulse.Pulse{})
 }
-func (f *forever) Ready(pulse.Port) bool { return true }
-func (f *forever) Status() node.Status   { return node.Status{} }
-func (f *forever) CloneMachine() node.PulseMachine {
-	cp := *f
-	return &cp
-}
+func (f *forever) Ready(pulse.Port) bool        { return true }
+func (f *forever) Status() node.Status          { return node.Status{} }
 func (f *forever) SnapshotTo(buf []byte) []byte { return node.AppendKey64(buf, f.fwd) }
 func (f *forever) Restore(snap []byte)          { f.fwd = node.Key64(snap) }
 

@@ -13,9 +13,9 @@ import (
 // scratch storage — the key buffers, the machine-snapshot arena, the
 // send-undo log, and the choice arena — lives here and is reused with
 // stack discipline, so stepping allocates nothing once the arenas have
-// grown to the exploration's depth. The sequential explorer and each
-// parallel worker embed one, and buildRoot runs the init prefix on a
-// throwaway one: apply/revert is the package's only way to execute a step.
+// grown to the exploration's depth. Every undoExplorer embeds one, and
+// buildRoot runs the init prefix on a throwaway one: apply/revert is the
+// package's only way to execute a step.
 //
 // The stepper also keeps the state's component sum (see componentSum)
 // current: apply adds what the step changed and revert restores the sum
@@ -276,15 +276,21 @@ func (sp *stepper) terminalOutcome(check func(Final) error) (int, error) {
 	return terminalClean, nil
 }
 
-// undoExplorer is the sequential engine: depth-first over one mutable
+// undoExplorer is the exploration engine: depth-first over one mutable
 // state, backtracking through the stepper's undo frames instead of
-// cloning per branch.
+// cloning per branch. The sequential engine runs one; the parallel engine
+// runs one per worker, each with pool set.
 type undoExplorer struct {
 	stepper
 	cfg   Config
 	memo  memoTable
 	rep   FaultReport
-	steps []Step // schedule from the root to the current state
+	steps []Step // schedule from the root (a worker: from its task) to the current state
+
+	// pool is the parallel engine's shared work pool; nil in the
+	// sequential engine. Only the peel, the state budget and the abandon
+	// check read it.
+	pool *parExplorer
 }
 
 // dfs explores everything reachable from the current state, which sits
@@ -302,10 +308,15 @@ func (ex *undoExplorer) dfs(depth int) error {
 		}
 		ex.steps = append(ex.steps, step)
 		fr, err := ex.apply(step)
-		if err == nil {
-			err = ex.dfs(depth + 1)
-		} else {
+		switch {
+		case err != nil:
 			err = ex.stepFailed(err)
+		case ex.pool != nil && ex.peel(depth+1):
+			// Reassigning err keeps it from living across the peel
+			// call, which would widen the recursive frame.
+			err = nil
+		default:
+			err = ex.dfs(depth + 1)
 		}
 		ex.steps = ex.steps[:len(ex.steps)-1]
 		if err != nil {
@@ -320,11 +331,14 @@ func (ex *undoExplorer) dfs(depth int) error {
 // visit records the current state, at the given depth, in the memo and
 // the report and pushes its choices — protocol steps, then fault branches
 // — onto the choice arena. base < 0 means the state was already visited.
-// It and stepFailed are kept out of dfs so that their temporaries do not
-// widen the recursive frame: dfs recurses once per step, up to maxDepth
-// deep, and its frame (216 bytes on amd64) times 2^20 must fit the
-// goroutine stack.
+// It, stepFailed and peel are kept out of dfs so that their temporaries
+// do not widen the recursive frame: dfs recurses once per step, up to
+// maxDepth deep, and its frame (216 bytes on amd64) times 2^20 must fit
+// the goroutine stack.
 func (ex *undoExplorer) visit(depth int) (base, fend int, err error) {
+	if ex.pool != nil && ex.pool.failed.Load() {
+		return -1, 0, errAbandoned
+	}
 	added, merr := ex.memo.insert(ex.fingerprint(), ex.memoKey(ex.cfg.Memo))
 	if merr != nil {
 		return -1, 0, wrapWitness(merr, ex.steps)
@@ -332,7 +346,7 @@ func (ex *undoExplorer) visit(depth int) (base, fend int, err error) {
 	if !added {
 		return -1, 0, nil
 	}
-	if ex.rep.StatesVisited >= ex.cfg.MaxStates {
+	if ex.overBudget() {
 		return -1, 0, wrapWitness(fmt.Errorf("%w (%d)", ErrStateBudget, ex.cfg.MaxStates), ex.steps)
 	}
 	if depth > maxDepth {
@@ -361,6 +375,15 @@ func (ex *undoExplorer) visit(depth int) (base, fend int, err error) {
 		fend = ex.pushFaultChoices()
 	}
 	return base, fend, nil
+}
+
+// overBudget reports whether one more state exceeds MaxStates: counted
+// by the explorer itself, or in a pool by every worker together.
+func (ex *undoExplorer) overBudget() bool {
+	if ex.pool != nil {
+		return ex.pool.states.Add(1) > int64(ex.cfg.MaxStates)
+	}
+	return ex.rep.StatesVisited >= ex.cfg.MaxStates
 }
 
 // stepFailed classifies a failed apply: on an already-faulted path a

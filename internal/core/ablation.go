@@ -104,12 +104,6 @@ func (a *Alg2Unguarded) Status() node.Status {
 	return node.Status{State: a.state, Terminated: a.terminated, Err: a.err}
 }
 
-// CloneMachine implements node.Cloneable.
-func (a *Alg2Unguarded) CloneMachine() node.PulseMachine {
-	cp := *a
-	return &cp
-}
-
 // SnapshotTo implements node.Undoable: same layout as Alg2.
 func (a *Alg2Unguarded) SnapshotTo(buf []byte) []byte {
 	flags := byte(a.state)

@@ -97,12 +97,6 @@ func (a *Alg1) Status() node.Status {
 	return node.Status{State: a.state, Err: a.err}
 }
 
-// CloneMachine implements node.Cloneable.
-func (a *Alg1) CloneMachine() node.PulseMachine {
-	cp := *a
-	return &cp
-}
-
 // SnapshotTo implements node.Undoable: the mutable fields only (id and
 // cwPort are construction-time constants).
 func (a *Alg1) SnapshotTo(buf []byte) []byte {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"coleader/internal/core"
-	"coleader/internal/node"
 	"coleader/internal/pulse"
 	"coleader/internal/ring"
 	"coleader/internal/sim"
@@ -224,5 +223,3 @@ func TestAlg1LargeSparseIDs(t *testing.T) {
 		t.Errorf("leader = %d, want 0", res.Leader)
 	}
 }
-
-var _ node.Cloneable[pulse.Pulse] = (*core.Alg1)(nil)

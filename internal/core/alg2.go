@@ -151,12 +151,6 @@ func (a *Alg2) Status() node.Status {
 	return node.Status{State: a.state, Terminated: a.terminated, Err: a.err}
 }
 
-// CloneMachine implements node.Cloneable.
-func (a *Alg2) CloneMachine() node.PulseMachine {
-	cp := *a
-	return &cp
-}
-
 // SnapshotTo implements node.Undoable: the four counters plus a flags byte.
 func (a *Alg2) SnapshotTo(buf []byte) []byte {
 	flags := byte(a.state)

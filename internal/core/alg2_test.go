@@ -273,5 +273,3 @@ func TestAlg2LagInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-var _ node.Cloneable[pulse.Pulse] = (*core.Alg2)(nil)

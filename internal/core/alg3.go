@@ -172,12 +172,6 @@ func (a *Alg3) Status() node.Status {
 	}
 }
 
-// CloneMachine implements node.Cloneable.
-func (a *Alg3) CloneMachine() node.PulseMachine {
-	cp := *a
-	return &cp
-}
-
 // SnapshotTo implements node.Undoable: the per-port counters and the
 // recomputed output block. The id/vid fields are constants for plain Alg3;
 // Alg3Resample (which mutates them) snapshots them itself.

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"coleader/internal/core"
-	"coleader/internal/node"
 	"coleader/internal/pulse"
 	"coleader/internal/ring"
 	"coleader/internal/sim"
@@ -332,8 +331,6 @@ func TestAlg3DuplicateRealIDs(t *testing.T) {
 		t.Errorf("pulses = %d, want %d", res.Sent, want)
 	}
 }
-
-var _ node.Cloneable[pulse.Pulse] = (*core.Alg3)(nil)
 
 func ExampleIDScheme_String() {
 	fmt.Println(core.SchemeDoubled, core.SchemeSuccessor)

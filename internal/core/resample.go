@@ -19,7 +19,7 @@ import (
 // random IDs (Algorithm 4's output) into a uniquely identified one.
 //
 // The node's private randomness is an xrand.SplitMix, whose one-word state
-// clones with the machine: Alg3Resample participates in exhaustive
+// snapshots with the machine: Alg3Resample participates in exhaustive
 // schedule exploration like the deterministic machines.
 type Alg3Resample struct {
 	inner Alg3
@@ -77,13 +77,6 @@ func (a *Alg3Resample) Ready(p pulse.Port) bool { return a.inner.Ready(p) }
 
 // Status implements node.Machine.
 func (a *Alg3Resample) Status() node.Status { return a.inner.Status() }
-
-// CloneMachine implements node.Cloneable: the PRNG state clones with the
-// machine, so exploration branches see independent futures.
-func (a *Alg3Resample) CloneMachine() node.PulseMachine {
-	cp := *a
-	return &cp
-}
 
 // SnapshotTo implements node.Undoable. Unlike plain Alg3, the resampling
 // rule mutates the inner machine's id and virtual IDs, and the PRNG state

@@ -48,10 +48,12 @@ type PulseMachine = Machine[pulse.Pulse]
 // PulseEmitter is the Emitter given to a PulseMachine.
 type PulseEmitter = Emitter[pulse.Pulse]
 
-// Cloneable is implemented by machines that support exhaustive schedule
-// exploration (internal/check), together with Undoable: the parallel
-// explorer deep-copies the state whenever it hands a subtree to another
-// worker.
+// Cloneable is a machine that deep-copies itself.
+//
+// Deprecated: no package requires or implements it. The exhaustive
+// explorer (internal/check) needs only Undoable: its parallel workers hand
+// subtrees to each other as machine snapshots. The declaration stays while
+// the election ledger's tests still name it.
 type Cloneable[M any] interface {
 	Machine[M]
 

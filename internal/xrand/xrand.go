@@ -1,6 +1,6 @@
 // Package xrand provides a tiny deterministic PRNG (SplitMix64) whose
 // entire state is one word. Unlike math/rand's generators it is cheaply
-// cloneable and serializable, which is what lets randomized machines
+// read and restored (State/SetState), which is what lets randomized machines
 // (core.Alg3Resample) participate in exhaustive schedule exploration: the
 // model checker snapshots machine states, and a PRNG inside a machine must
 // snapshot with it.
@@ -46,13 +46,6 @@ func (s *SplitMix) Intn(n int) int { return int(s.Int63n(int64(n))) }
 // Float64 returns a uniform value in [0, 1).
 func (s *SplitMix) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
-}
-
-// Clone returns an independent copy that will produce the same future
-// stream as the original.
-func (s *SplitMix) Clone() *SplitMix {
-	cp := *s
-	return &cp
 }
 
 // State returns the generator's full internal state (for state keys).

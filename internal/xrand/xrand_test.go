@@ -27,25 +27,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestCloneContinuesStream(t *testing.T) {
-	s := xrand.New(3)
-	for i := 0; i < 10; i++ {
-		s.Uint64()
-	}
-	c := s.Clone()
-	for i := 0; i < 50; i++ {
-		if s.Uint64() != c.Uint64() {
-			t.Fatalf("clone diverged at step %d", i)
-		}
-	}
-	// Advancing the clone does not affect the original's state key.
-	before := s.State()
-	c.Uint64()
-	if s.State() != before {
-		t.Error("clone shares state with original")
-	}
-}
-
 func TestIntnRangeAndUniformity(t *testing.T) {
 	s := xrand.New(11)
 	const n, trials = 10, 100000
