@@ -19,66 +19,60 @@ vet:
 	$(GO) vet ./...
 
 # lint runs oblint over the whole module; it must exit 0. The follow-up
-# invocations prove the analyzer itself is alive by requiring a nonzero
-# exit from the named check on each known-violating fixture package
-# (fixture:check pairs; xblock exercises the cross-package call graph).
+# invocations prove the analyzer itself is alive: each known-violating
+# fixture package is linted (as a content-oblivious package, so the
+# oblivious-* checks apply) and its -json output must name every listed
+# check (fixture:checks pairs; xblock exercises the cross-package call
+# graph, dynblock and dyntaint dynamic dispatch). det-maprange and the
+# atomic-* checks apply only to the packages DefaultConfig names, so their
+# fixtures run in go test (TestFixtureDeterminism, TestFixtureAtomic*).
 lint:
 	$(GO) run ./cmd/oblint ./...
 	@for fc in \
-		det:det-time \
+		det:det-time,det-globalrand,layer-dag \
 		statesnap:state-snapshot \
-		staterestore:state-restore \
-		staterestore:state-skew \
+		staterestore:state-restore,state-skew \
 		xblock:handler-block \
 		dynblock:handler-block \
 		concleak:conc-goroutine-leak \
-		chandir:conc-chan-direction \
-		conclock:conc-lock-order; do \
-		dir=internal/lint/testdata/src/fixt/$${fc%%:*}; chk=$${fc##*:}; \
-		if $(GO) run ./cmd/oblint -check $$chk $$dir >/dev/null 2>&1; then \
-			echo "oblint failed to flag $$dir under $$chk"; exit 1; \
-		fi; \
+		conclock:conc-lock-order \
+		obliv:oblivious-import,oblivious-chan,oblivious-payload,oblivious-taint \
+		dyntaint:oblivious-taint; do \
+		dir=internal/lint/testdata/src/fixt/$${fc%%:*}; \
+		out=$$($(GO) run ./cmd/oblint -json -oblivious coleader/$$dir $$dir 2>/dev/null); \
+		for chk in $$(echo $${fc##*:} | tr , ' '); do \
+			if ! echo "$$out" | grep -q "\"check\": \"$$chk\""; then \
+				echo "oblint failed to flag $$dir under $$chk"; exit 1; \
+			fi; \
+		done; \
 	done
-	@dir=internal/lint/testdata/src/fixt/dyntaint; \
-	if $(GO) run ./cmd/oblint -check oblivious-taint -oblivious coleader/$$dir $$dir >/dev/null 2>&1; then \
-		echo "oblint failed to flag $$dir under oblivious-taint"; exit 1; \
-	fi
 
-# lint-bench times a cold oblint run (fresh cache: full source
-# type-checking) against a warm one (content-hash cache replay) on a
-# prebuilt binary, proves the two produce byte-identical findings, and
-# records both wall times as a benchmark family in BENCH_sim.json so the
-# analyzer's own performance is ratcheted like the simulator's. The
-# devirtualization site counts from the cold run's -json output ride
-# along as custom metrics (resolved-sites / overapprox-sites /
-# unresolvable-sites), so CI can ratchet the call graph's residual blind
-# spots downward alongside the wall times. Override the entry label for
-# CI comparison runs:
+# lint-bench times one whole-module oblint run on a prebuilt binary and
+# records the wall time (OblintModule) as a benchmark family in
+# BENCH_sim.json, so the analyzer's own performance is gated like the
+# simulator's. The devirtualization site counts from the run's -json
+# output ride along as custom metrics (OblintDevirt: resolved-sites /
+# overapprox-sites / unresolvable-sites). Override the entry label for CI
+# comparison runs:
 #   make lint-bench LINT_BENCH_LABEL=lint-ci
 LINT_BENCH_LABEL ?= lint
 lint-bench:
 	@mkdir -p bin
 	$(GO) build -o bin/oblint ./cmd/oblint
-	@rm -rf .oblint-bench-cache
 	@t0=$$(date +%s%N); \
-	./bin/oblint -cache-dir .oblint-bench-cache -cache-stats -json ./... > .oblint-bench-cold.json; \
+	./bin/oblint -json ./... > .oblint-bench-module.json; \
 	t1=$$(date +%s%N); \
-	./bin/oblint -cache-dir .oblint-bench-cache -cache-stats -json ./... > .oblint-bench-warm.json; \
-	t2=$$(date +%s%N); \
-	echo "cold (cache empty): $$(( (t1 - t0) / 1000000 )) ms"; \
-	echo "warm (cache full):  $$(( (t2 - t1) / 1000000 )) ms"; \
-	printf 'BenchmarkOblintColdModule 1 %d ns/op\nBenchmarkOblintWarmModule 1 %d ns/op\n' \
-		$$(( t1 - t0 )) $$(( t2 - t1 )) > .oblint-bench-times.txt
-	@cmp .oblint-bench-cold.json .oblint-bench-warm.json && echo "cold and warm findings are byte-identical"
-	@res=$$(grep -o '"resolvedSites": *[0-9]*' .oblint-bench-cold.json | grep -o '[0-9]*$$'); \
-	ova=$$(grep -o '"overApproxSites": *[0-9]*' .oblint-bench-cold.json | grep -o '[0-9]*$$'); \
-	unr=$$(grep -o '"unresolvableSites": *[0-9]*' .oblint-bench-cold.json | grep -o '[0-9]*$$'); \
+	echo "whole module: $$(( (t1 - t0) / 1000000 )) ms"; \
+	printf 'BenchmarkOblintModule 1 %d ns/op\n' $$(( t1 - t0 )) > .oblint-bench-times.txt
+	@res=$$(grep -o '"resolvedSites": *[0-9]*' .oblint-bench-module.json | grep -o '[0-9]*$$'); \
+	ova=$$(grep -o '"overApproxSites": *[0-9]*' .oblint-bench-module.json | grep -o '[0-9]*$$'); \
+	unr=$$(grep -o '"unresolvableSites": *[0-9]*' .oblint-bench-module.json | grep -o '[0-9]*$$'); \
 	echo "devirt: $$res resolved, $$ova over-approx, $$unr unresolvable"; \
 	printf 'BenchmarkOblintDevirt 1 %d resolved-sites %d overapprox-sites %d unresolvable-sites\n' \
 		"$$res" "$$ova" "$$unr" >> .oblint-bench-times.txt
 	$(GO) run ./cmd/benchjson -in .oblint-bench-times.txt -out BENCH_sim.json \
 		-label "$(LINT_BENCH_LABEL)" -note "oblint whole-module wall time + devirt site counts"
-	@rm -rf .oblint-bench-cache .oblint-bench-cold.json .oblint-bench-warm.json .oblint-bench-times.txt
+	@rm -f .oblint-bench-module.json .oblint-bench-times.txt
 
 build:
 	$(GO) build ./...

@@ -4,14 +4,14 @@
 // function and package boundaries), determinism, layering, atomic
 // hygiene, non-blocking handlers, machine state-encoding integrity (the
 // state-* snapshot/restore/key field-parity family), and concurrency
-// integrity (the conc-* goroutine-leak / channel-direction / lock-order
-// family) — across every package in the module. The interprocedural
-// checks run on a devirtualized call graph: calls through interfaces and
-// func values resolve to every live module implementation or bound
-// function, and each dynamic call site's resolution outcome (resolved /
-// over-approximated / unresolvable) is counted in the -json "devirt"
-// object and the -cache-stats summary. See internal/lint for the checks
-// and DESIGN.md ("Enforced model invariants") for the policy.
+// integrity (the conc-* goroutine-leak / lock-order family) — across
+// every package in the module. The interprocedural checks run on a
+// devirtualized call graph: calls through interfaces and func values
+// resolve to every live module implementation or bound function, and each
+// dynamic call site's resolution outcome (resolved / over-approximated /
+// unresolvable) is counted in the -json "devirt" object. See internal/lint
+// for the checks and DESIGN.md ("Enforced model invariants") for the
+// policy.
 //
 // Usage:
 //
@@ -19,24 +19,18 @@
 //	go run ./cmd/oblint -json ./...              # machine-readable findings
 //	go run ./cmd/oblint -list-checks             # checks with their invariants
 //	go run ./cmd/oblint -check det-time,layer-dag ./...
-//	go run ./cmd/oblint -baseline findings.json ./...   # fail on NEW findings only
 //
-// Whole-module runs go through a content-hash analysis cache (disable with
-// -cache=false, relocate with -cache-dir): a warm run replays per-package
-// verdicts without type-checking anything and finishes in tens of
-// milliseconds. The per-package keys cover the transitive module-internal
-// import closure, which also keys the interprocedural facts (call graph,
-// taint, state coverage) soundly. Explicit package arguments always run
-// uncached.
+// A whole-module run (./... or no arguments) indexes every module package
+// for devirtualization; explicit package arguments index only the
+// packages the run reaches.
 //
 // -json output carries a schemaVersion field and findings sorted by
 // (file, line, check), so two runs over the same tree are byte-identical
-// and snapshots diff stably in CI.
+// and CI diffs the output against the committed .oblint-baseline.json.
 //
-// Exit status: 0 when clean, 1 when findings exist (with -baseline: when
-// NEW findings exist), 2 on load errors. Suppressed findings
-// (//oblint:allow) never fail the run but are counted on stderr and
-// included in -json output so CI can diff them.
+// Exit status: 0 when clean, 1 when findings exist, 2 on load or flag
+// errors. Suppressed findings (//oblint:allow) never fail the run but are
+// counted on stderr and included in -json output so CI can diff them.
 package main
 
 import (
@@ -52,16 +46,11 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	list := flag.Bool("list", false, "list enforced check names and exit")
 	listChecks := flag.Bool("list-checks", false, "list every check with its one-line invariant and exit")
 	only := flag.String("check", "", "comma-separated subset of checks to run (see -list-checks)")
 	dir := flag.String("C", ".", "directory inside the target module")
 	typeErrs := flag.Bool("typeerrors", false, "also print soft type-check errors")
-	baseline := flag.String("baseline", "", "JSON findings file to diff against; only NEW findings fail")
 	oblivious := flag.String("oblivious", "", "comma-separated extra packages to treat as content-oblivious (fixture/testing aid)")
-	useCache := flag.Bool("cache", true, "use the content-hash analysis cache for whole-module runs")
-	cacheDir := flag.String("cache-dir", "", "cache directory (default: user cache dir)")
-	cacheStats := flag.Bool("cache-stats", false, "report cache hits/misses on stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: oblint [flags] [packages]\n\nFlags:\n")
@@ -69,12 +58,6 @@ func main() {
 	}
 	flag.Parse()
 
-	if *list {
-		for _, c := range lint.AllChecks() {
-			fmt.Println(c)
-		}
-		return
-	}
 	if *listChecks {
 		for _, c := range lint.AllChecks() {
 			fmt.Printf("%-18s %s\n", c, lint.CheckDoc(c))
@@ -125,54 +108,26 @@ func main() {
 
 	var res lint.Result
 	var softErrs []string
-	switch {
-	case all && *useCache:
-		dir := *cacheDir
-		if dir == "" {
-			dir = defaultCacheDir(module)
-		}
-		var stats lint.CacheStats
-		res, softErrs, stats, err = lint.RunCached(root, module, cfg, dir)
+	if all {
+		res, softErrs, err = lint.RunModule(root, module, cfg)
 		if err != nil {
 			fatal(err)
 		}
-		if *cacheStats {
-			fmt.Fprintf(os.Stderr, "oblint: cache %d hit(s), %d miss(es)\n", stats.Hits, stats.Misses)
-			fmt.Fprintf(os.Stderr, "oblint: devirt %d resolved, %d over-approx, %d unresolvable dynamic call site(s)\n",
-				res.Devirt.ResolvedSites, res.Devirt.OverApproxSites, res.Devirt.UnresolvableSites)
-		}
-	default:
+	} else {
 		loader := lint.NewLoader(root, module)
 		var pkgs []*lint.Package
-		if all {
-			pkgs, err = loader.LoadAll()
+		for _, a := range args {
+			ip := strings.TrimPrefix(filepath.ToSlash(a), "./")
+			if ip != module && !strings.HasPrefix(ip, module+"/") {
+				ip = module + "/" + ip
+			}
+			p, err := loader.Load(ip)
 			if err != nil {
 				fatal(err)
 			}
-		} else {
-			for _, a := range args {
-				ip := strings.TrimPrefix(filepath.ToSlash(a), "./")
-				if ip != module && !strings.HasPrefix(ip, module+"/") {
-					ip = module + "/" + ip
-				}
-				p, err := loader.Load(ip)
-				if err != nil {
-					fatal(err)
-				}
-				pkgs = append(pkgs, p)
-			}
+			pkgs = append(pkgs, p)
 		}
 		runner := &lint.Runner{Config: cfg, Fset: loader.Fset, Resolve: loader.Load}
-		if all {
-			paths := make([]string, len(pkgs))
-			for i, p := range pkgs {
-				paths[i] = p.Path
-			}
-			// Whole-module runs index every package for devirtualization;
-			// explicit package arguments leave List unset, so the index
-			// covers only the packages the run actually touches.
-			runner.List = func() []string { return paths }
-		}
 		res = runner.Run(pkgs)
 		for _, p := range pkgs {
 			for _, e := range p.TypeErrors {
@@ -204,55 +159,10 @@ func main() {
 		}
 	}
 
-	if *baseline != "" {
-		exitBaseline(rel, *baseline, *jsonOut)
-	}
 	if len(res.Findings) > 0 {
 		fmt.Fprintf(os.Stderr, "oblint: %d finding(s)\n", len(res.Findings))
 		os.Exit(1)
 	}
-}
-
-// exitBaseline diffs the (relativized) result against a committed baseline
-// and terminates the process: only findings absent from the baseline fail
-// the run, the shape CI lint gates use to block new debt while old debt is
-// burned down separately.
-func exitBaseline(cur lint.Result, path string, jsonOut bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(fmt.Errorf("baseline: %w", err))
-	}
-	var base lint.Result
-	if err := json.Unmarshal(data, &base); err != nil {
-		fatal(fmt.Errorf("baseline %s: %w", path, err))
-	}
-	news, resolved := lint.DiffBaseline(cur, base)
-	if len(resolved) > 0 {
-		fmt.Fprintf(os.Stderr, "oblint: %d baseline finding(s) resolved; regenerate %s with -json to ratchet down\n",
-			len(resolved), path)
-	}
-	if len(news) == 0 {
-		fmt.Fprintf(os.Stderr, "oblint: no findings beyond baseline (%d known)\n", len(base.Findings))
-		os.Exit(0)
-	}
-	if !jsonOut {
-		// Findings were already printed above; single out the new ones.
-		fmt.Fprintf(os.Stderr, "oblint: %d NEW finding(s) not in baseline:\n", len(news))
-	}
-	for _, f := range news {
-		fmt.Fprintf(os.Stderr, "  %s\n", f)
-	}
-	os.Exit(1)
-}
-
-// defaultCacheDir places the cache under the OS user cache, namespaced by
-// module so co-resident checkouts do not collide on policy.
-func defaultCacheDir(module string) string {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		base = os.TempDir()
-	}
-	return filepath.Join(base, "oblint", module)
 }
 
 // relativize rewrites absolute file paths relative to the module root for

@@ -45,8 +45,8 @@ package lint
 // (no candidate in the module — e.g. a stdlib interface, a func parameter
 // nothing ever binds; the chain ends there, the residual soundness trade).
 // Per-package counts of the three outcomes are surfaced through
-// Result.Devirt so -json and -cache-stats can report them and CI can
-// ratchet the unresolvable count down.
+// Result.Devirt so -json can report them and the committed
+// .oblint-baseline.json pins them.
 //
 // The index is built once per Runner from Runner.List (every module
 // package) or, when List is unset (fixture harnesses), from the packages

@@ -16,7 +16,10 @@ import (
 // Loader while counting invocations per path.
 func countingRunner(t *testing.T) (*Runner, *Loader, map[string]int) {
 	t.Helper()
-	root, module := moduleRootT(t)
+	root, module, err := FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	l := NewLoader(root, module)
 	calls := make(map[string]int)
 	r := &Runner{

@@ -13,12 +13,6 @@ package lint
 //     park the goroutine and give a close() a way to end it) nor a
 //     lexical exit (return, break, goto, panic). Such a loop spins until
 //     process exit and the goroutine can never be shut down.
-//   - conc-chan-direction: a struct field of channel type annotated
-//     `//oblint:chandir recv` (or `send`) records a producer/consumer role
-//     convention: outside the declaring type's methods, the field may only
-//     be received from (resp. sent to). The declaring type owns the other
-//     side, so a wrong-direction use is a role violation — typically a
-//     second sender racing the owner or a stolen receive starving it.
 //   - conc-lock-order: two mutexes must be acquired in one consistent
 //     order everywhere in the package. Acquisition pairs are collected per
 //     function with calls followed — including devirtualized ones — while
@@ -29,9 +23,8 @@ package lint
 // goroutine-leak inspects only the immediately spawned body (not its
 // transitive callees); lock-order skips `go` and `defer` statements and
 // uninvoked function literals (a deferred unlock keeps the lock held for
-// pairing purposes, which is the conservative direction); chan-direction
-// is opt-in per field. All three follow syntax, not every dataflow — the
-// usual lint trade.
+// pairing purposes, which is the conservative direction). Both follow
+// syntax, not every dataflow — the usual lint trade.
 
 import (
 	"fmt"
@@ -39,7 +32,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // --- conc-goroutine-leak ---------------------------------------------------
@@ -198,139 +190,6 @@ func loopExits(body *ast.BlockStmt) bool {
 		}
 	})
 	return found
-}
-
-// --- conc-chan-direction ---------------------------------------------------
-
-func checkConcChanDir(r *Runner, p *Package, report func(token.Pos, string, string)) {
-	ann, owner := chandirAnnotations(r, p, report)
-	if len(ann) == 0 {
-		return
-	}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			recvName := ""
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
-				recvName = recvBaseName(fd)
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SendStmt:
-					if obj := chanFieldObj(p, n.Chan); obj != nil && ann[obj] == "recv" && owner[obj] != recvName {
-						report(n.Arrow, CheckConcChanDir,
-							fmt.Sprintf("send on receive-annotated channel field %s.%s outside %s's methods (//oblint:chandir recv: only the declaring type may send on it)",
-								owner[obj], obj.Name(), owner[obj]))
-					}
-				case *ast.UnaryExpr:
-					if n.Op != token.ARROW {
-						return true
-					}
-					if obj := chanFieldObj(p, n.X); obj != nil && ann[obj] == "send" && owner[obj] != recvName {
-						report(n.OpPos, CheckConcChanDir,
-							fmt.Sprintf("receive from send-annotated channel field %s.%s outside %s's methods (//oblint:chandir send: only the declaring type may receive from it)",
-								owner[obj], obj.Name(), owner[obj]))
-					}
-				case *ast.RangeStmt:
-					if obj := chanFieldObj(p, n.X); obj != nil && ann[obj] == "send" && owner[obj] != recvName {
-						report(n.For, CheckConcChanDir,
-							fmt.Sprintf("receive (range) from send-annotated channel field %s.%s outside %s's methods (//oblint:chandir send: only the declaring type may receive from it)",
-								owner[obj], obj.Name(), owner[obj]))
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// chandirAnnotations collects //oblint:chandir directives: a comment on a
-// struct field's line (or the line above it) annotates the field's
-// intended outside-use direction. Returns field object -> "recv"|"send"
-// and field object -> declaring type name. Malformed directives are
-// findings themselves: a typo here would silently disable the gate.
-func chandirAnnotations(r *Runner, p *Package, report func(token.Pos, string, string)) (ann, owner map[types.Object]string) {
-	ann = make(map[types.Object]string)
-	owner = make(map[types.Object]string)
-	lines := make(map[string]map[int]string)
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, "//oblint:chandir")
-				if !ok {
-					continue
-				}
-				fields := strings.Fields(rest)
-				if len(fields) != 1 || (fields[0] != "recv" && fields[0] != "send") {
-					report(c.Pos(), CheckConcChanDir,
-						fmt.Sprintf("malformed directive %q: want //oblint:chandir recv|send", c.Text))
-					continue
-				}
-				pos := r.Fset.Position(c.Pos())
-				if lines[pos.Filename] == nil {
-					lines[pos.Filename] = make(map[int]string)
-				}
-				// Grant the directive's own line (trailing comment) and the
-				// next (standalone comment above the field).
-				lines[pos.Filename][pos.Line] = fields[0]
-				lines[pos.Filename][pos.Line+1] = fields[0]
-			}
-		}
-	}
-	if len(lines) == 0 {
-		return ann, owner
-	}
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, field := range st.Fields.List {
-					for _, name := range field.Names {
-						obj := p.Info.Defs[name]
-						if obj == nil {
-							continue
-						}
-						pos := r.Fset.Position(name.Pos())
-						dir, ok := lines[pos.Filename][pos.Line]
-						if !ok {
-							continue
-						}
-						if _, isChan := obj.Type().Underlying().(*types.Chan); !isChan {
-							report(name.Pos(), CheckConcChanDir,
-								fmt.Sprintf("//oblint:chandir on non-channel field %s.%s (the directive describes a channel role)", ts.Name.Name, name.Name))
-							continue
-						}
-						ann[obj] = dir
-						owner[obj] = ts.Name.Name
-					}
-				}
-			}
-		}
-	}
-	return ann, owner
-}
-
-// chanFieldObj resolves a channel-operand expression to the struct field
-// object it selects, or nil (locals, results of calls, non-fields).
-func chanFieldObj(p *Package, e ast.Expr) types.Object {
-	sel, ok := unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	if s, ok := p.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		return s.Obj()
-	}
-	return nil
 }
 
 // --- conc-lock-order -------------------------------------------------------

@@ -27,7 +27,6 @@ const (
 	CheckStateRestore     = "state-restore"
 	CheckStateSkew        = "state-skew"
 	CheckConcLeak         = "conc-goroutine-leak"
-	CheckConcChanDir      = "conc-chan-direction"
 	CheckConcLockOrder    = "conc-lock-order"
 )
 
@@ -40,7 +39,7 @@ func AllChecks() []string {
 		CheckLayerDAG, CheckAtomicMixed, CheckAtomicCopy,
 		CheckHandlerBlock,
 		CheckStateSnapshot, CheckStateRestore, CheckStateSkew,
-		CheckConcLeak, CheckConcChanDir, CheckConcLockOrder,
+		CheckConcLeak, CheckConcLockOrder,
 	}
 }
 
@@ -62,7 +61,6 @@ var checkDocs = map[string]string{
 	CheckStateRestore:     "every field a machine's handlers write must be reset by Restore (an omitted field leaks state across explorer branches)",
 	CheckStateSkew:        "Restore may only write fields SnapshotTo encodes (layout skew between the two desynchronizes snapshot and restore)",
 	CheckConcLeak:         "a spawned goroutine must not busy-loop forever: every unconditional loop in its body needs a channel gate (select/receive/range) or a lexical exit (return/break/goto/panic)",
-	CheckConcChanDir:      "a channel field annotated //oblint:chandir recv|send may only be used in that direction outside the declaring type's methods (the producer/consumer role convention)",
 	CheckConcLockOrder:    "two mutexes must be acquired in one consistent order everywhere in a package (an inversion, found over the devirtualized call graph, can deadlock)",
 }
 
@@ -181,15 +179,14 @@ func (s *DevirtStats) Add(o DevirtStats) {
 // tracking but do not fail.
 type Result struct {
 	// SchemaVersion is FindingsSchemaVersion when emitted by cmd/oblint
-	// -json; zero (omitted) inside the analyzer, and tolerated as zero when
-	// reading baselines written before the field existed.
+	// -json; zero (omitted) inside the analyzer.
 	SchemaVersion int `json:"schemaVersion,omitempty"`
 
 	Findings   []Finding `json:"findings"`
 	Suppressed []Finding `json:"suppressed,omitempty"`
 
 	// Devirt aggregates the dynamic-call-site resolution stats of every
-	// analyzed package. Observability only: baseline diffing ignores it.
+	// analyzed package.
 	Devirt DevirtStats `json:"devirt"`
 }
 
@@ -230,9 +227,8 @@ func (r *Runner) enabled(name string) bool {
 }
 
 // allCheckFns pairs every check name with its implementation, in report
-// order. Every check is per-package: the whole-module result is the
-// concatenation of per-package results, which is what makes the analysis
-// cache (cache.go) sound.
+// order. Each runs on one package at a time; the interprocedural ones
+// follow call chains into other packages through Resolve.
 var allCheckFns = []struct {
 	name string
 	fn   checkFn
@@ -252,7 +248,6 @@ var allCheckFns = []struct {
 	{CheckStateRestore, checkStateRestore},
 	{CheckStateSkew, checkStateSkew},
 	{CheckConcLeak, checkConcLeak},
-	{CheckConcChanDir, checkConcChanDir},
 	{CheckConcLockOrder, checkConcLockOrder},
 }
 
@@ -261,47 +256,57 @@ var allCheckFns = []struct {
 func (r *Runner) Run(pkgs []*Package) Result {
 	var res Result
 	for _, p := range pkgs {
-		pr := r.RunPackage(p)
-		res.Findings = append(res.Findings, pr.Findings...)
-		res.Suppressed = append(res.Suppressed, pr.Suppressed...)
-		res.Devirt.Add(pr.Devirt)
+		allow := collectDirectives(p, r.Fset)
+		report := func(pos token.Pos, check, msg string) {
+			position := r.Fset.Position(pos)
+			f := Finding{
+				Check: check,
+				Pkg:   p.Path,
+				File:  position.Filename,
+				Line:  position.Line,
+				Col:   position.Column,
+				Msg:   msg,
+			}
+			if allow.allows(position.Filename, position.Line, check) {
+				f.Suppressed = true
+				res.Suppressed = append(res.Suppressed, f)
+				return
+			}
+			res.Findings = append(res.Findings, f)
+		}
+		for _, c := range allCheckFns {
+			if r.enabled(c.name) {
+				c.fn(r, p, report)
+			}
+		}
+		res.Devirt.Add(r.module().devirtStats(p))
 	}
 	sortFindings(res.Findings)
 	sortFindings(res.Suppressed)
 	return res
 }
 
-// RunPackage applies every enabled check to a single package. Findings are
-// sorted by position.
-func (r *Runner) RunPackage(p *Package) Result {
-	var res Result
-	allow := collectDirectives(p, r.Fset)
-	report := func(pos token.Pos, check, msg string) {
-		position := r.Fset.Position(pos)
-		f := Finding{
-			Check: check,
-			Pkg:   p.Path,
-			File:  position.Filename,
-			Line:  position.Line,
-			Col:   position.Column,
-			Msg:   msg,
-		}
-		if allow.allows(position.Filename, position.Line, check) {
-			f.Suppressed = true
-			res.Suppressed = append(res.Suppressed, f)
-			return
-		}
-		res.Findings = append(res.Findings, f)
+// RunModule lints every package of the module rooted at root under cfg —
+// the run `oblint ./...` performs. The devirtualization index covers
+// every module package. It returns the result (file paths absolute) and
+// the soft type errors of every package, formatted.
+func RunModule(root, module string, cfg Config) (Result, []string, error) {
+	loader := NewLoader(root, module)
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		return Result{}, nil, err
 	}
-	for _, c := range allCheckFns {
-		if r.enabled(c.name) {
-			c.fn(r, p, report)
+	paths := make([]string, len(pkgs))
+	var typeErrs []string
+	for i, p := range pkgs {
+		paths[i] = p.Path
+		for _, e := range p.TypeErrors {
+			typeErrs = append(typeErrs, fmt.Sprintf("typecheck %s: %v", p.Path, e))
 		}
 	}
-	res.Devirt = r.module().devirtStats(p)
-	sortFindings(res.Findings)
-	sortFindings(res.Suppressed)
-	return res
+	runner := &Runner{Config: cfg, Fset: loader.Fset, Resolve: loader.Load,
+		List: func() []string { return paths }}
+	return runner.Run(pkgs), typeErrs, nil
 }
 
 func sortFindings(fs []Finding) {
@@ -386,46 +391,6 @@ func walkParents(root ast.Node, visit func(n ast.Node, parents []ast.Node)) {
 		stack = append(stack, n)
 		return true
 	})
-}
-
-// baselineKey identifies a finding for baseline diffing. Line and column
-// are deliberately excluded so that unrelated edits shifting a known
-// finding down a file do not register as a new finding in CI.
-func baselineKey(f Finding) string {
-	return f.Check + "\x00" + f.Pkg + "\x00" + f.File + "\x00" + f.Msg
-}
-
-// DiffBaseline compares current findings against a committed baseline and
-// returns the findings that are new (not in the baseline) and the baseline
-// entries that are resolved (no longer present). Matching is a multiset
-// match on (check, pkg, file, msg): a gate built on this fails only on new
-// findings, the shape production lint gates use to ratchet down debt.
-func DiffBaseline(cur, base Result) (news, resolved []Finding) {
-	credit := make(map[string]int)
-	for _, f := range base.Findings {
-		credit[baselineKey(f)]++
-	}
-	for _, f := range cur.Findings {
-		k := baselineKey(f)
-		if credit[k] > 0 {
-			credit[k]--
-			continue
-		}
-		news = append(news, f)
-	}
-	// Whatever credit is left over corresponds to baseline entries with no
-	// current counterpart.
-	used := make(map[string]int)
-	for _, f := range base.Findings {
-		k := baselineKey(f)
-		if used[k] < credit[k] {
-			used[k]++
-			resolved = append(resolved, f)
-		}
-	}
-	sortFindings(news)
-	sortFindings(resolved)
-	return news, resolved
 }
 
 // quote renders a path list for messages.

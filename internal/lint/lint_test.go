@@ -2,6 +2,8 @@ package lint_test
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,8 +11,10 @@ import (
 )
 
 // TestRepoClean is the acceptance gate: the repository's own tree must be
-// free of model-invariant violations under the default policy. This is
-// the same run `go run ./cmd/oblint ./...` performs in CI.
+// free of model-invariant violations under the default policy. It runs
+// lint.RunModule, the exact path `go run ./cmd/oblint ./...` takes, and
+// pins the devirtualization site counts to the committed
+// .oblint-baseline.json, so a call-graph drift fails locally too.
 func TestRepoClean(t *testing.T) {
 	root, module, err := lint.FindModule(".")
 	if err != nil {
@@ -19,21 +23,13 @@ func TestRepoClean(t *testing.T) {
 	if module != "coleader" {
 		t.Fatalf("module = %q, want coleader", module)
 	}
-	l := lint.NewLoader(root, module)
-	pkgs, err := l.LoadAll()
+	res, typeErrs, err := lint.RunModule(root, module, lint.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) < 15 {
-		t.Fatalf("loaded only %d packages, expected the whole module", len(pkgs))
+	for _, e := range typeErrs {
+		t.Error(e)
 	}
-	for _, p := range pkgs {
-		for _, e := range p.TypeErrors {
-			t.Errorf("typecheck %s: %v", p.Path, e)
-		}
-	}
-	runner := &lint.Runner{Config: lint.DefaultConfig(), Fset: l.Fset, Resolve: l.Load}
-	res := runner.Run(pkgs)
 	for _, f := range res.Findings {
 		t.Errorf("finding: %s", f)
 	}
@@ -42,6 +38,18 @@ func TestRepoClean(t *testing.T) {
 	// visible, reviewed change.
 	if len(res.Suppressed) != 0 {
 		t.Errorf("suppressed findings = %d, want 0 (update this test and ROADMAP.md when suppressing)", len(res.Suppressed))
+	}
+	data, err := os.ReadFile(filepath.Join(root, ".oblint-baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base lint.Result
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	if res.Devirt != base.Devirt {
+		t.Errorf("devirt = %+v, .oblint-baseline.json has %+v (regenerate it with `go run ./cmd/oblint -json ./... > .oblint-baseline.json` and log the change)",
+			res.Devirt, base.Devirt)
 	}
 }
 
@@ -124,8 +132,8 @@ func TestAllChecksDistinct(t *testing.T) {
 		}
 		seen[c] = true
 	}
-	if len(seen) != 17 {
-		t.Errorf("expected 17 checks, got %d", len(seen))
+	if len(seen) != 16 {
+		t.Errorf("expected 16 checks, got %d", len(seen))
 	}
 	for _, c := range lint.AllChecks() {
 		if lint.CheckDoc(c) == "" {

@@ -240,9 +240,7 @@ type pkgDir struct {
 
 // modulePackageDirs walks the module tree rooted at root and returns every
 // directory holding non-test Go files, skipping testdata, vendor, and
-// dot/underscore directories. Results are sorted by import path. It is the
-// single source of truth for "the module's packages", shared by LoadAll
-// and the analysis cache so their views can never diverge.
+// dot/underscore directories. Results are sorted by import path.
 func modulePackageDirs(root, module string) ([]pkgDir, error) {
 	var dirs []pkgDir
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {

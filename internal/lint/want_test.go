@@ -318,10 +318,6 @@ func TestFixtureConcLeak(t *testing.T) {
 	runFixture(t, lint.Config{Checks: []string{lint.CheckConcLeak}}, "fixt/concleak")
 }
 
-func TestFixtureConcChanDir(t *testing.T) {
-	runFixture(t, lint.Config{Checks: []string{lint.CheckConcChanDir}}, "fixt/chandir")
-}
-
 func TestFixtureConcLockOrder(t *testing.T) {
 	runFixture(t, lint.Config{Checks: []string{lint.CheckConcLockOrder}}, "fixt/conclock")
 }
