@@ -55,6 +55,8 @@ lint:
 # overapprox-sites / unresolvable-sites). Override the entry label for CI
 # comparison runs:
 #   make lint-bench LINT_BENCH_LABEL=lint-ci
+# The run's -json output stays in .oblint-bench-module.json, which CI
+# diffs against the committed .oblint-baseline.json.
 LINT_BENCH_LABEL ?= lint
 lint-bench:
 	@mkdir -p bin
@@ -72,7 +74,7 @@ lint-bench:
 		"$$res" "$$ova" "$$unr" >> .oblint-bench-times.txt
 	$(GO) run ./cmd/benchjson -in .oblint-bench-times.txt -out BENCH_sim.json \
 		-label "$(LINT_BENCH_LABEL)" -note "oblint whole-module wall time + devirt site counts"
-	@rm -f .oblint-bench-module.json .oblint-bench-times.txt
+	@rm -f .oblint-bench-times.txt
 
 build:
 	$(GO) build ./...
@@ -148,9 +150,10 @@ fault-smoke:
 # conserving classes) and a budget-aborted divergent census (dup) must
 # both emit byte-identical -json reports at workers=1 and workers=4 —
 # partial reports included, via the canonical sequential fallback — and
-# the crash-then-heal supervisor must be race-clean. An audited run of
-# the finite census certifies the fingerprint memo, fault section
-# included, collision-free on it.
+# the crash-then-heal supervisor must be race-clean. Audited runs of the
+# finite 3-node census and of the election ledger's 7-node census
+# (582,051 states) certify the fingerprint memo, fault-section terms
+# included, collision-free on both.
 fault-verify-smoke:
 	$(GO) run ./cmd/modelcheck -algo alg2 -ids 3,1,2 -faults loss,crash,corrupt \
 		-json -workers 1 > .fverify-w1.json
@@ -159,6 +162,8 @@ fault-verify-smoke:
 	cmp .fverify-w1.json .fverify-w4.json
 	$(GO) run ./cmd/modelcheck -algo alg2 -ids 3,1,2 -faults loss,crash,corrupt \
 		-audit-collisions >/dev/null
+	$(GO) run ./cmd/modelcheck -algo alg2 -ids 7,1,6,2,5,3,4 -faults loss,crash,corrupt \
+		-audit-collisions >/dev/null
 	-$(GO) run ./cmd/modelcheck -algo alg2 -ids 3,1,2 -faults dup -max-states 20000 \
 		-json -workers 1 > .fverify-div-w1.json
 	-$(GO) run ./cmd/modelcheck -algo alg2 -ids 3,1,2 -faults dup -max-states 20000 \
@@ -166,7 +171,7 @@ fault-verify-smoke:
 	cmp .fverify-div-w1.json .fverify-div-w4.json
 	grep -q '"ok": false' .fverify-div-w1.json  # the divergent census must abort on budget
 	$(GO) test -race -run 'TestSupervisor|TestStallReport|TestErrTimeout' ./internal/live/
-	@echo "fault-aware reports identical at workers=1 and workers=4 (finite and budget-aborted); audit clean; supervisor race-clean"
+	@echo "fault-aware reports identical at workers=1 and workers=4 (finite and budget-aborted); audits clean (3 and 7 nodes); supervisor race-clean"
 	@rm -f .fverify-w1.json .fverify-w4.json .fverify-div-w1.json .fverify-div-w4.json
 
 # batch-smoke proves the batch fast path's determinism contract: two

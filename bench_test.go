@@ -499,6 +499,38 @@ func BenchmarkExhaustiveFaults(b *testing.B) {
 	b.ReportMetric(float64(states), "states/op")
 }
 
+// BenchmarkExhaustiveFaultsCensus is the election ledger's census
+// workload: the fault-aware explorer over loss, crash and corrupt,
+// budget 1, on the 7-node ring 7 1 6 2 5 3 4 (582,051 states). Unlike
+// BenchmarkExhaustiveFaults's 1,677 states, its fingerprint memo grows
+// to megabytes and leaves the cache, so this is the size at which the
+// memo's layout shows.
+func BenchmarkExhaustiveFaultsCensus(b *testing.B) {
+	ids := []uint64{7, 1, 6, 2, 5, 3, 4}
+	topo, err := ring.Oriented(len(ids))
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := fault.Plan{
+		Classes: fault.NewSet(fault.Loss, fault.Crash, fault.Corrupt),
+		Budget:  1,
+	}
+	var states int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := check.ExhaustiveFaults(check.Config{
+			Topo:        topo,
+			NewMachines: func() ([]node.PulseMachine, error) { return core.Alg2Machines(topo, ids) },
+		}, plan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		states = rep.StatesVisited
+	}
+	b.ReportMetric(float64(states), "states/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*states), "ns/state")
+}
+
 // BenchmarkUniversalTransport measures the full-strength Corollary 5
 // stack (E7's extension): Chang–Roberts running over the chunked defective
 // transport after an Algorithm 2 election, per ring size.

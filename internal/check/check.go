@@ -17,7 +17,7 @@
 // exploration polynomial in ID_max for the paper's algorithms even though
 // the raw schedule tree is exponential.
 //
-// Three engine-level optimizations make larger instances tractable:
+// Four engine-level optimizations make larger instances tractable:
 //
 //   - Undo-based DFS: instead of deep-copying the machine slice per
 //     branch, the explorer snapshots the one machine a step mutates into a
@@ -25,14 +25,19 @@
 //     via an undo log of queue, init-bit, and sent-counter deltas. The
 //     stepper's apply/revert is the only code that executes a step.
 //   - A fingerprint memo table (MemoFingerprint): 64-bit state
-//     fingerprints in an open-addressing table replace the
+//     fingerprints in open-addressing tables replace the
 //     map[string]struct{} of full keys, eliminating the per-state string
 //     copy. A fingerprint is a sum of per-component hashes — one per
-//     machine, queued pulse and init bit — plus a hash of the fault
-//     section; the undo stepper keeps the sum current as it applies and
-//     reverts steps, so a visit re-encodes only the machine the step ran
-//     and never builds the whole state key. MemoAudit certifies a run
-//     collision-free.
+//     machine, queued pulse and init bit, and in fault mode one per
+//     counted pulse, crashed node, injection-log entry and window count;
+//     the undo stepper keeps the sum current as it applies and reverts
+//     steps, so a visit re-encodes only the machine the step ran and
+//     never builds the whole state key. The table is split into depth
+//     classes, since a state can only match a state of its own depth.
+//     MemoAudit certifies a run collision-free.
+//   - Faulted paths prune their violations without formatting them: a
+//     violation after an injection is counted, never shown, so it is the
+//     bare ErrViolation there; clean paths keep the full error text.
 //   - Parallel exploration (Config.Workers > 1): a work-sharing pool over
 //     subtree tasks with the visited set sharded behind per-shard locks.
 //     Every worker runs the undo DFS over machines of its own; it shares a
@@ -332,43 +337,61 @@ type state struct {
 
 // collector implements node.Emitter against the state's queues. Every
 // incremented channel id is recorded on log so the stepper can revert the
-// sends of one handler invocation.
+// sends of one handler invocation, and every send's weight is added to
+// the stepper's component sum.
 type collector struct {
 	topo ring.Topology
 	st   *state
 	from int
 	err  error
 	log  *[]int32
+	sum  *uint64
 }
 
 func (c *collector) Send(p pulse.Port, _ pulse.Pulse) {
 	if !p.Valid() {
-		c.err = fmt.Errorf("%w: node %d sent on invalid port %d", ErrViolation, c.from, p)
+		c.err = c.st.violation("node %d sent on invalid port %d", c.from, p)
 		return
 	}
 	to := c.topo.Peer(c.from, p)
 	if st := c.st.ms[to.Node].Status(); st.Terminated {
-		c.err = fmt.Errorf("%w: node %d sent toward terminated node %d", ErrViolation, c.from, to.Node)
+		c.err = c.st.violation("node %d sent toward terminated node %d", c.from, to.Node)
 		return
 	}
 	ch := 2*to.Node + int(to.Port)
 	c.st.queues[ch]++
 	c.st.sent++
-	if fx := c.st.fx; fx != nil && fx.windowed {
-		fx.sendCnt[ch]++
+	w := chanWeight(ch)
+	if fx := c.st.fx; fx != nil {
+		w += sentWeight
+		if fx.windowed {
+			w += fx.tick(fx.sendCnt, windowSends, ch)
+		}
 	}
+	*c.sum += w
 	*c.log = append(*c.log, int32(ch))
 }
 
 func (st *state) afterHandler(k int) error {
 	s := st.ms[k].Status()
 	if s.Err != nil {
-		return fmt.Errorf("%w: node %d: %v", ErrViolation, k, s.Err)
+		return st.violation("node %d: %v", k, s.Err)
 	}
 	if s.Terminated && st.queues[2*k]+st.queues[2*k+1] > 0 {
-		return fmt.Errorf("%w: node %d terminated with queued pulses", ErrViolation, k)
+		return st.violation("node %d terminated with queued pulses", k)
 	}
 	return nil
+}
+
+// violation is the error of a protocol violation, described by format
+// and args. On a faulted path it is the bare ErrViolation: the explorer
+// counts and prunes the edge there without reading the text
+// (stepFailed), so nothing is formatted.
+func (st *state) violation(format string, args ...any) error {
+	if st.fx.faulted() {
+		return ErrViolation
+	}
+	return fmt.Errorf("%w: %s", ErrViolation, fmt.Sprintf(format, args...))
 }
 
 // add folds another explorer's report into rep: every counter sums, and

@@ -32,7 +32,11 @@ import (
 // removed an undelivered one from both). All three are functions of the
 // key, so StatesVisited, TerminalStates, MaxDepth, and the outcome
 // counters are functions of the reachable-state closure — identical at any
-// Workers width, exactly as in the faultless explorer.
+// Workers width, exactly as in the faultless explorer. The fingerprint
+// memo relies on it too: it looks a state up only among the states of its
+// own depth class (fpMemo), which is sound only because a state's depth
+// is a function of the state. TestDepthIsStateFunction asserts the
+// identity at every visit.
 //
 // Fault semantics mirror internal/sim's plane handling pulse for pulse:
 // Loss removes a queued pulse and uncounts it from Sent (the simulator
@@ -221,15 +225,62 @@ func (fx *faultX) clone() *faultX {
 // faulted reports whether the current path has at least one injection.
 func (fx *faultX) faulted() bool { return fx != nil && len(fx.log) > 0 }
 
-// note appends the injection to the path log. It runs before the fault's
-// effects so that error classification (which asks "was this path
-// faulted?") already sees the entry.
-func (fx *faultX) note(s Step) {
+// note appends the injection to the path log and returns the weight the
+// entry adds to the component sum. It runs before the fault's effects so
+// that error classification (which asks "was this path faulted?")
+// already sees the entry.
+func (fx *faultX) note(s Step) uint64 {
 	t := s.Chan
 	if t < 0 {
 		t = s.Init
 	}
-	fx.log = append(fx.log, faultRec{class: s.Fault, target: uint16(t), mask: s.Mask})
+	r := faultRec{class: s.Fault, target: uint16(t), mask: s.Mask}
+	fx.log = append(fx.log, r)
+	return logWeight(len(fx.log)-1, r)
+}
+
+// The window counter sets, as windowWeight numbers them.
+const (
+	windowHandlers = iota
+	windowSends
+	windowDelivs
+)
+
+// tick counts one event on counter i of a windowed plan's counter set
+// (cs is handlerCnt, sendCnt or delivCnt, numbered set) and returns the
+// weight the count adds to the component sum: the counter's weight while
+// it stays within Window+1, where the key saturates it, else nothing.
+func (fx *faultX) tick(cs []uint32, set, i int) uint64 {
+	cs[i]++
+	if uint64(cs[i]) > fx.plan.Window+1 {
+		return 0
+	}
+	return windowWeight(set, i)
+}
+
+// sum is the fault section's part of the component sum, from scratch:
+// the sent counter, the crashed bits, the injection log and, for a
+// windowed plan, every counter at its saturated value — the fields
+// appendFaultKey encodes.
+func (fx *faultX) sum(sent uint64) uint64 {
+	s := sent * sentWeight
+	for k, c := range fx.crashed {
+		if c {
+			s += crashWeight(k)
+		}
+	}
+	for i, r := range fx.log {
+		s += logWeight(i, r)
+	}
+	if fx.windowed {
+		sat := fx.plan.Window + 1
+		for set, cs := range [...][]uint32{fx.handlerCnt, fx.sendCnt, fx.delivCnt} {
+			for i, c := range cs {
+				s += min(uint64(c), sat) * windowWeight(set, i)
+			}
+		}
+	}
+	return s
 }
 
 // Window eligibility: a node fault needs the victim's handler count still
@@ -247,12 +298,11 @@ func (fx *faultX) okDeliv(c int) bool {
 	return !fx.windowed || uint64(fx.delivCnt[c]) <= fx.plan.Window
 }
 
-// appendFaultKey folds the fault plane into the state key (see the memo
-// soundness note atop this file); its bytes, hashed per visit, are also
-// the fault section's component of the memo fingerprint
-// (finishFingerprint). Counters saturate at Window+1 — two
-// states whose counters are both past the window admit the same injections
-// forever after, so merging them is sound.
+// appendFaultKey folds the fault plane into the full state key (see the
+// memo soundness note atop this file); the fingerprint memo hashes the
+// same fields as component terms instead (faultX.sum). Counters saturate
+// at Window+1 — two states whose counters are both past the window admit
+// the same injections forever after, so merging them is sound.
 func appendFaultKey(b []byte, fx *faultX, sent uint64) []byte {
 	b = node.AppendKey64(b, sent)
 	var w byte
@@ -350,7 +400,6 @@ func appendFaultChoices(st *state, arena []int32) []int32 {
 func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 	st := sp.st
 	fx := st.fx
-	fx.note(s)
 	fr := undoFrame{
 		mach:      -1,
 		deliverCh: -1,
@@ -359,6 +408,7 @@ func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 		fault:     s.Fault,
 		sum:       sp.sum,
 	}
+	sp.sum += fx.note(s)
 	if s.Init >= 0 {
 		// Every node-targeted frame saves the term, since revert restores
 		// it for any frame naming a machine.
@@ -369,18 +419,18 @@ func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 		fr.deliverCh = int32(s.Chan)
 		st.queues[s.Chan]--
 		st.sent--
-		sp.sum -= chanWeight(s.Chan)
+		sp.sum -= chanWeight(s.Chan) + sentWeight
 		return fr, nil
 	case fault.Dup, fault.Spurious:
 		fr.deliverCh = int32(s.Chan)
 		st.queues[s.Chan]++
 		st.sent++
-		sp.sum += chanWeight(s.Chan)
+		sp.sum += chanWeight(s.Chan) + sentWeight
 		return fr, nil
 	case fault.Crash:
-		// The crashed bit lives in the fault section: no term changes.
 		fr.mach = int32(s.Init)
 		fx.crashed[s.Init] = true
+		sp.sum += crashWeight(s.Init)
 		return fr, nil
 	case fault.Restart:
 		k := s.Init
@@ -388,14 +438,17 @@ func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 		fr.wasCrashed = fx.crashed[k]
 		m := st.ms[k]
 		sp.snapArena = m.SnapshotTo(sp.snapArena)
-		fx.crashed[k] = false
+		if fr.wasCrashed {
+			fx.crashed[k] = false
+			sp.sum -= crashWeight(k)
+		}
 		m.Restore(fx.initSnaps[k])
 		if fx.windowed {
-			fx.handlerCnt[k]++
+			sp.sum += fx.tick(fx.handlerCnt, windowHandlers, k)
 		}
-		sp.col = collector{topo: sp.topo, st: st, from: k, log: &sp.sendArena}
+		sp.col = collector{topo: sp.topo, st: st, from: k, log: &sp.sendArena, sum: &sp.sum}
 		m.Init(&sp.col)
-		sp.retally(k, fr.sendOff)
+		sp.retally(k)
 		if sp.col.err != nil {
 			return fr, sp.col.err
 		}
@@ -410,7 +463,7 @@ func (sp *stepper) applyFault(s Step) (undoFrame, error) {
 			sp.faultScratch[len(sp.faultScratch)-1] ^= s.Mask
 			m.Restore(sp.faultScratch)
 		}
-		sp.retally(k, fr.sendOff)
+		sp.retally(k)
 		return fr, st.afterHandler(k)
 	}
 	return fr, fmt.Errorf("check: unknown fault class %v", s.Fault)

@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"coleader/internal/core"
@@ -194,10 +195,94 @@ func TestIncrementalFingerprintExact(t *testing.T) {
 	}
 }
 
-// censusStepper is the census workload's root: Algorithm 2 on IDs
-// 7 1 6 2 5 3 4 with every node initialized and a loss/crash/corrupt
-// budget-1 fault plane.
-func censusStepper(b *testing.B) *stepper {
+// depthCheck is a memo that asserts, at every insert, that the depth the
+// explorer files the state under is a function of the state itself:
+// init bits set beyond the root's, plus deliveries (sent − queued), plus
+// injections (the log length).
+type depthCheck struct {
+	memoTable
+	t         *testing.T
+	st        *state
+	rootInits int
+	visits    int
+}
+
+func (d *depthCheck) insert(depth int, fp uint64, key []byte) (bool, error) {
+	d.visits++
+	inits := -d.rootInits
+	for _, in := range d.st.inited {
+		if in {
+			inits++
+		}
+	}
+	var queued uint64
+	for _, q := range d.st.queues {
+		queued += uint64(q)
+	}
+	want := inits + int(d.st.sent-queued)
+	if d.st.fx != nil {
+		want += len(d.st.fx.log)
+	}
+	if depth != want {
+		d.t.Fatalf("visit %d: explorer depth %d, state says %d (inits %d, sent %d, queued %d)",
+			d.visits, depth, want, inits, d.st.sent, queued)
+	}
+	return d.memoTable.insert(depth, fp, key)
+}
+
+// TestDepthIsStateFunction: the depth-classed memo looks a state up only
+// in its own depth class, which is sound only if every path to a state
+// has the same length. At every visit of every fpCases exploration
+// (windowed, restart, dup and explore-inits cases included), the depth
+// the explorer passes to the memo must equal the depth the state itself
+// implies. Divergent fault classes stop on a state budget.
+func TestDepthIsStateFunction(t *testing.T) {
+	for _, c := range fpCases() {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			topo, err := c.topo()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{
+				Topo:         topo,
+				ExploreInits: c.exploreInits,
+				MaxStates:    20000,
+				NewMachines:  func() ([]node.PulseMachine, error) { return c.machines(topo) },
+			}
+			if c.plan.Active() {
+				if cfg.plan, err = c.plan.Normalize(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			root, prefix, err := buildRoot(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			memo := &depthCheck{memoTable: newFpMemo(), t: t, st: root}
+			for _, in := range root.inited {
+				if in {
+					memo.rootInits++
+				}
+			}
+			ex := &undoExplorer{cfg: cfg, memo: memo, steps: prefix}
+			ex.stepper = stepper{topo: topo, n: topo.N()}
+			ex.reset(root)
+			if err := ex.dfs(0); err != nil && !errors.Is(err, ErrStateBudget) {
+				t.Fatal(err)
+			}
+			if memo.visits <= ex.rep.StatesVisited || ex.rep.MaxDepth == 0 {
+				t.Errorf("%d visits of %d states, max depth %d: the walk did not revisit", memo.visits, ex.rep.StatesVisited, ex.rep.MaxDepth)
+			}
+			t.Logf("%d visits, %d states, max depth %d", memo.visits, ex.rep.StatesVisited, ex.rep.MaxDepth)
+		})
+	}
+}
+
+// censusConfig is the census workload: Algorithm 2 on IDs 7 1 6 2 5 3 4
+// with every node initialized upfront and a loss/crash/corrupt budget-1
+// fault plane.
+func censusConfig(b *testing.B) Config {
 	b.Helper()
 	topo, err := ring.Oriented(7)
 	if err != nil {
@@ -207,15 +292,23 @@ func censusStepper(b *testing.B) *stepper {
 	if err != nil {
 		b.Fatal(err)
 	}
-	root, _, err := buildRoot(Config{
+	return Config{
 		Topo:        topo,
 		NewMachines: func() ([]node.PulseMachine, error) { return core.Alg2Machines(topo, []uint64{7, 1, 6, 2, 5, 3, 4}) },
+		MaxStates:   1 << 20,
 		plan:        plan,
-	})
+	}
+}
+
+// censusStepper is a stepper at the census workload's root.
+func censusStepper(b *testing.B) *stepper {
+	b.Helper()
+	cfg := censusConfig(b)
+	root, _, err := buildRoot(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sp := &stepper{topo: topo, n: topo.N()}
+	sp := &stepper{topo: cfg.Topo, n: cfg.Topo.N()}
 	sp.reset(root)
 	return sp
 }
@@ -225,16 +318,17 @@ var fpSink uint64
 // BenchmarkStateFingerprint prices the memo fingerprint of one visit on
 // the 7-node census state. "incremental" is what a step adds under the
 // kept component sum: re-encode and rehash the one machine the step ran,
-// add the delivered channel's weight, and finish the fingerprint (which
-// hashes the fault section). "rehash" is the full-key path it replaces:
-// encode the whole state key and hash all of it.
+// add the delivered channel's weight, and finalize the sum (the fault
+// section's terms are kept in the sum where its fields move, so
+// finishing hashes nothing more). "rehash" is the full-key path it
+// replaces: encode the whole state key and hash all of it.
 func BenchmarkStateFingerprint(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		sp := censusStepper(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			k := i % sp.n
-			sp.retally(k, int32(len(sp.sendArena)))
+			sp.retally(k)
 			sp.sum += chanWeight(2 * k)
 			fpSink = sp.fingerprint()
 			sp.sum -= chanWeight(2 * k)
@@ -249,36 +343,71 @@ func BenchmarkStateFingerprint(b *testing.B) {
 	})
 }
 
-// BenchmarkMemoInsert times fpMemo.insert over the census's 582,051
-// distinct states: "fill" inserts them all into a fresh table (growth
-// included), "hit" re-inserts them into the full table, as a memo hit
-// does. Fingerprints are SplitMix64 outputs, as uniform as real ones.
+// memoRecorder is a memo that logs every insert's depth and fingerprint,
+// in call order, before passing it on.
+type memoRecorder struct {
+	memoTable
+	depths []uint16
+	fps    []uint64
+}
+
+func (r *memoRecorder) insert(depth int, fp uint64, key []byte) (bool, error) {
+	r.depths = append(r.depths, uint16(depth))
+	r.fps = append(r.fps, fp)
+	return r.memoTable.insert(depth, fp, key)
+}
+
+// censusVisits explores the census once and returns the (depth,
+// fingerprint) of every memo insert in DFS order: the memo's real input,
+// 582,051 new states among 2,333,301 visits.
+func censusVisits(b *testing.B) *memoRecorder {
+	b.Helper()
+	cfg := censusConfig(b)
+	root, prefix, err := buildRoot(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := &memoRecorder{memoTable: newFpMemo()}
+	ex := &undoExplorer{cfg: cfg, memo: rec, steps: prefix}
+	ex.stepper = stepper{topo: cfg.Topo, n: cfg.Topo.N()}
+	ex.reset(root)
+	if err := ex.dfs(0); err != nil {
+		b.Fatal(err)
+	}
+	if ex.rep.StatesVisited != 582_051 {
+		b.Fatalf("census visited %d states, want 582051", ex.rep.StatesVisited)
+	}
+	return rec
+}
+
+// BenchmarkMemoInsert times fpMemo.insert on the census's own input: the
+// (depth, fingerprint) of every visit of one exploration, fed in DFS
+// order. "fill" feeds the whole sequence into a fresh table (growth and
+// the exploration's own hits included), "hit" feeds it again into the
+// full table, as a revisit does. Both report ns per insert.
 func BenchmarkMemoInsert(b *testing.B) {
-	const states = 582_051
-	fps := make([]uint64, states)
-	for i := range fps {
-		fps[i] = mix64(uint64(i) + chanSalt)
+	rec := censusVisits(b)
+	feed := func(m memoTable) {
+		for i, fp := range rec.fps {
+			m.insert(int(rec.depths[i]), fp, nil)
+		}
+	}
+	perInsert := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rec.fps)), "ns/insert")
 	}
 	b.Run("fill", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m := newFpMemo()
-			for _, fp := range fps {
-				m.insert(fp, nil)
-			}
+			feed(newFpMemo())
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*states), "ns/insert")
+		perInsert(b)
 	})
 	b.Run("hit", func(b *testing.B) {
 		m := newFpMemo()
-		for _, fp := range fps {
-			m.insert(fp, nil)
-		}
+		feed(m)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, fp := range fps {
-				m.insert(fp, nil)
-			}
+			feed(m)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*states), "ns/insert")
+		perInsert(b)
 	})
 }

@@ -32,10 +32,10 @@ func TestFingerprintFixed(t *testing.T) {
 // zero value, and growth well past the initial table size.
 func TestFpMemo(t *testing.T) {
 	m := newFpMemo()
-	if added, _ := m.insert(0, nil); !added {
+	if added, _ := m.insert(0, 0, nil); !added {
 		t.Error("first zero fingerprint not added")
 	}
-	if added, _ := m.insert(0, nil); added {
+	if added, _ := m.insert(0, 0, nil); added {
 		t.Error("second zero fingerprint added")
 	}
 	// SplitMix-style scramble gives well-spread, reproducible values.
@@ -46,12 +46,12 @@ func TestFpMemo(t *testing.T) {
 	}
 	const n = 5000 // forces several grows from the 1024-slot start
 	for i := uint64(1); i <= n; i++ {
-		if added, err := m.insert(scramble(i), nil); err != nil || !added {
+		if added, err := m.insert(0, scramble(i), nil); err != nil || !added {
 			t.Fatalf("insert %d: added=%t err=%v", i, added, err)
 		}
 	}
 	for i := uint64(1); i <= n; i++ {
-		if added, _ := m.insert(scramble(i), nil); added {
+		if added, _ := m.insert(0, scramble(i), nil); added {
 			t.Fatalf("duplicate %d re-added after grow", i)
 		}
 	}
@@ -64,13 +64,13 @@ func TestFpMemo(t *testing.T) {
 // fails loudly when two DISTINCT keys share a fingerprint.
 func TestAuditMemo(t *testing.T) {
 	m := auditMemo{}
-	if added, err := m.insert(5, []byte("a")); !added || err != nil {
+	if added, err := m.insert(0, 5, []byte("a")); !added || err != nil {
 		t.Fatalf("first insert: added=%t err=%v", added, err)
 	}
-	if added, err := m.insert(5, []byte("a")); added || err != nil {
+	if added, err := m.insert(0, 5, []byte("a")); added || err != nil {
 		t.Fatalf("duplicate insert: added=%t err=%v", added, err)
 	}
-	_, err := m.insert(5, []byte("b"))
+	_, err := m.insert(0, 5, []byte("b"))
 	if !errors.Is(err, ErrFingerprintCollision) {
 		t.Fatalf("collision err = %v, want ErrFingerprintCollision", err)
 	}
@@ -85,13 +85,13 @@ func TestShardedMemo(t *testing.T) {
 		}
 		for i := 0; i < 1000; i++ {
 			key := []byte(fmt.Sprintf("key-%d", i))
-			if added, err := s.insert(fingerprint(key), key); err != nil || !added {
+			if added, err := s.insert(0, fingerprint(key), key); err != nil || !added {
 				t.Fatalf("%v: insert %d: added=%t err=%v", mode, i, added, err)
 			}
 		}
 		for i := 0; i < 1000; i++ {
 			key := []byte(fmt.Sprintf("key-%d", i))
-			if added, _ := s.insert(fingerprint(key), key); added {
+			if added, _ := s.insert(0, fingerprint(key), key); added {
 				t.Fatalf("%v: duplicate %d re-added", mode, i)
 			}
 		}

@@ -18,8 +18,10 @@ import (
 // package's only way to execute a step.
 //
 // The stepper also keeps the state's component sum (see componentSum)
-// current: apply adds what the step changed and revert restores the sum
-// saved in the frame, so sum always equals componentSum(st).
+// current, fault section included: apply adds what the step changed
+// where each field moves (the collector adds each send) and revert
+// restores the sum saved in the frame, so sum always equals
+// componentSum(st).
 type stepper struct {
 	topo ring.Topology
 	n    int
@@ -29,7 +31,7 @@ type stepper struct {
 	terms []uint64 // per-machine terms of sum
 
 	keyBuf       []byte
-	hashBuf      []byte  // one machine's key, or the fault section's
+	hashBuf      []byte  // one machine's snapshot
 	snapArena    []byte  // machine snapshots, stacked per applied step
 	sendArena    []int32 // channel ids incremented, stacked per applied step
 	choiceArena  []int32 // schedulable events, stacked per visited state
@@ -70,11 +72,7 @@ func (sp *stepper) reset(st *state) {
 
 // fingerprint is the current state's memo fingerprint, from the running
 // component sum.
-func (sp *stepper) fingerprint() uint64 {
-	fp, buf := finishFingerprint(sp.sum, sp.st, sp.hashBuf)
-	sp.hashBuf = buf
-	return fp
-}
+func (sp *stepper) fingerprint() uint64 { return mix64(sp.sum) }
 
 // memoKey is the full state key when the memo mode needs one, else nil.
 func (sp *stepper) memoKey(mode MemoMode) []byte {
@@ -84,17 +82,14 @@ func (sp *stepper) memoKey(mode MemoMode) []byte {
 	return sp.key()
 }
 
-// retally folds one handler run into the component sum: machine k's term
-// is re-encoded from its snapshot, and every channel on the send log past
-// sendOff gains one pulse's weight.
-func (sp *stepper) retally(k int, sendOff int32) {
+// retally folds one handler run's machine change into the component
+// sum: machine k's term is re-encoded from its snapshot. The handler's
+// sends were added by the collector as they happened.
+func (sp *stepper) retally(k int) {
 	sp.hashBuf = sp.st.ms[k].SnapshotTo(sp.hashBuf[:0])
 	t := machineTerm(k, sp.hashBuf)
 	sp.sum += t - sp.terms[k]
 	sp.terms[k] = t
-	for _, ch := range sp.sendArena[sendOff:] {
-		sp.sum += chanWeight(int(ch))
-	}
 }
 
 // key encodes the current state into the reusable key buffer. The result
@@ -131,12 +126,12 @@ func (sp *stepper) apply(s Step) (undoFrame, error) {
 	m := sp.st.ms[k]
 	sp.snapArena = m.SnapshotTo(sp.snapArena)
 	if fx := sp.st.fx; fx != nil && fx.windowed {
-		fx.handlerCnt[k]++
+		sp.sum += fx.tick(fx.handlerCnt, windowHandlers, k)
 		if ch >= 0 {
-			fx.delivCnt[ch]++
+			sp.sum += fx.tick(fx.delivCnt, windowDelivs, int(ch))
 		}
 	}
-	sp.col = collector{topo: sp.topo, st: sp.st, from: k, log: &sp.sendArena}
+	sp.col = collector{topo: sp.topo, st: sp.st, from: k, log: &sp.sendArena, sum: &sp.sum}
 	if ch < 0 {
 		sp.st.inited[k] = true
 		sp.sum += initWeight(k)
@@ -146,7 +141,7 @@ func (sp *stepper) apply(s Step) (undoFrame, error) {
 		sp.sum -= chanWeight(int(ch))
 		m.OnMsg(pulse.Port(int(ch)&1), pulse.Pulse{}, &sp.col)
 	}
-	sp.retally(k, fr.sendOff)
+	sp.retally(k)
 	if sp.col.err != nil {
 		return fr, sp.col.err
 	}
@@ -339,7 +334,7 @@ func (ex *undoExplorer) visit(depth int) (base, fend int, err error) {
 	if ex.pool != nil && ex.pool.failed.Load() {
 		return -1, 0, errAbandoned
 	}
-	added, merr := ex.memo.insert(ex.fingerprint(), ex.memoKey(ex.cfg.Memo))
+	added, merr := ex.memo.insert(depth, ex.fingerprint(), ex.memoKey(ex.cfg.Memo))
 	if merr != nil {
 		return -1, 0, wrapWitness(merr, ex.steps)
 	}
@@ -387,8 +382,10 @@ func (ex *undoExplorer) overBudget() bool {
 }
 
 // stepFailed classifies a failed apply: on an already-faulted path a
-// violation is an injection consequence, counted and pruned (nil);
-// otherwise it aborts the exploration with the schedule as its witness.
+// violation is an injection consequence, counted and pruned (nil) without
+// reading its text (which is why the collector and afterHandler leave it
+// unformatted there); otherwise it aborts the exploration with the
+// schedule as its witness.
 func (ex *undoExplorer) stepFailed(err error) error {
 	if errors.Is(err, ErrViolation) && ex.st.fx.faulted() {
 		ex.rep.ViolationEdges++

@@ -1,11 +1,13 @@
 package check_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"coleader/internal/check"
 	"coleader/internal/core"
+	"coleader/internal/fault"
 	"coleader/internal/node"
 	"coleader/internal/pulse"
 	"coleader/internal/ring"
@@ -150,5 +152,102 @@ func TestStepString(t *testing.T) {
 func TestWitnessOnPlainError(t *testing.T) {
 	if _, ok := check.Witness(check.ErrStalled); ok {
 		t.Error("plain error yielded a witness")
+	}
+}
+
+// lateSender terminates in Init when quits is set and otherwise sends one
+// pulse in Init: on a ring where its clockwise peer quits, that pulse is
+// a send toward a terminated node.
+type lateSender struct{ quits, terminated bool }
+
+func (l *lateSender) Init(e node.PulseEmitter) {
+	if l.quits {
+		l.terminated = true
+		return
+	}
+	e.Send(pulse.Port1, pulse.Pulse{})
+}
+
+func (l *lateSender) OnMsg(pulse.Port, pulse.Pulse, node.PulseEmitter) {}
+func (l *lateSender) Ready(pulse.Port) bool                            { return !l.terminated }
+func (l *lateSender) Status() node.Status                              { return node.Status{Terminated: l.terminated} }
+
+func (l *lateSender) SnapshotTo(buf []byte) []byte {
+	if l.terminated {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+func (l *lateSender) Restore(snap []byte) { l.terminated = snap[0] != 0 }
+
+// TestCleanPathViolationTexts pins the exact error text of a violation on
+// a clean (never-injected) path, one per kind, and the text Replay gives
+// for its witness. Faulted paths count their violations without
+// formatting them; a clean path, in a fault-aware run too, must keep
+// naming the node and what it did. The strings were recorded before
+// faulted paths stopped formatting.
+func TestCleanPathViolationTexts(t *testing.T) {
+	topo, err := ring.Oriented(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := check.Config{Topo: topo, NewMachines: func() ([]node.PulseMachine, error) {
+		return []node.PulseMachine{&lateSender{quits: true}, &lateSender{}}, nil
+	}}
+	lateInits := late
+	lateInits.ExploreInits = true
+	eager := check.Config{Topo: topo, NewMachines: func() ([]node.PulseMachine, error) {
+		return []node.PulseMachine{&eagerQuitter{}, &eagerQuitter{}}, nil
+	}}
+	const (
+		sentToward = "check: protocol violation: node 1 sent toward terminated node 0\n" +
+			"witness schedule (2 steps; replay with check.Replay)"
+		sentTowardReplay = "check: replay step 1 (init 1): sim: message sent to terminated node: node 1 sent CW toward node 0"
+	)
+	cases := []struct {
+		name       string
+		cfg        check.Config
+		want       string
+		wantReplay string
+	}{
+		{name: "alg2-unguarded 1,3", cfg: unguardedConfig(t, []uint64{1, 3}),
+			want: "check: protocol violation: node 1 terminated with queued pulses\n" +
+				"witness schedule (8 steps; replay with check.Replay)",
+			wantReplay: "check: replay step 7 (deliver ch3 (node 1 port 1)): sim: node terminated with pending incoming messages: node 1"},
+		{name: "eager-quitter", cfg: eager,
+			want: "check: protocol violation: node 0 terminated with queued pulses\n" +
+				"witness schedule (3 steps; replay with check.Replay)",
+			wantReplay: "check: replay step 2 (deliver ch0 (node 0 port 0)): sim: node terminated with pending incoming messages: node 0"},
+		{name: "late-sender", cfg: late, want: sentToward, wantReplay: sentTowardReplay},
+		{name: "late-sender explore-inits", cfg: lateInits, want: sentToward, wantReplay: sentTowardReplay},
+	}
+	plan := fault.Plan{Classes: fault.NewSet(fault.Loss, fault.Crash, fault.Corrupt), Budget: 1}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2} {
+			for _, faulty := range []bool{false, true} {
+				cfg := tc.cfg
+				cfg.Workers = workers
+				var err error
+				if faulty {
+					_, err = check.ExhaustiveFaults(cfg, plan)
+				} else {
+					_, err = check.Exhaustive(cfg)
+				}
+				name := fmt.Sprintf("%s workers=%d faults=%t", tc.name, workers, faulty)
+				if err == nil || err.Error() != tc.want {
+					t.Errorf("%s: err = %q, want %q", name, err, tc.want)
+					continue
+				}
+				steps, ok := check.Witness(err)
+				if !ok {
+					t.Errorf("%s: no witness", name)
+					continue
+				}
+				if _, rerr := check.Replay(cfg, steps); rerr == nil || rerr.Error() != tc.wantReplay {
+					t.Errorf("%s: replay err = %q, want %q", name, rerr, tc.wantReplay)
+				}
+			}
+		}
 	}
 }
