@@ -440,34 +440,6 @@ func BenchmarkExhaustive(b *testing.B) {
 	b.ReportMetric(float64(states), "states/op")
 }
 
-// BenchmarkExhaustiveParallel explores a larger 4-node instance at 1 and 4
-// workers; the reports are identical, only the wall clock moves.
-func BenchmarkExhaustiveParallel(b *testing.B) {
-	ids := []uint64{5, 1, 4, 2}
-	topo, err := ring.Oriented(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var states int
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := check.Exhaustive(check.Config{
-					Topo:        topo,
-					NewMachines: func() ([]node.PulseMachine, error) { return core.Alg2Machines(topo, ids) },
-					Workers:     workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				states = rep.StatesVisited
-			}
-			b.ReportMetric(float64(states), "states/op")
-		})
-	}
-}
-
 // BenchmarkExhaustiveFaults is E17's regenerator: the fault-aware
 // explorer over the conserving classes (loss, crash, corrupt) on the
 // 3-ring, budget 1 — a finite space enumerated completely every op. The

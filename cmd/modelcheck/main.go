@@ -10,7 +10,6 @@
 //	modelcheck -algo alg1 -ids 2,2,1             # duplicate IDs (Lemma 16)
 //	modelcheck -algo alg2-unguarded -ids 1,3     # the ablation: finds the bug
 //	modelcheck -algo alg2 -ids 2,1 -explore-inits
-//	modelcheck -algo alg2 -ids 4,1,2 -workers 4  # parallel exploration
 //	modelcheck -algo alg2 -ids 3,1,2 -json       # machine-readable report
 //	modelcheck -algo alg2 -ids 3,1,2 -audit-collisions
 //	modelcheck -algo alg2 -ids 3,1,2 -faults loss,crash   # fault-aware DFS
@@ -23,12 +22,11 @@
 // infinite state spaces; bound them with -max-states and read the verdict
 // as certified-up-to-budget.
 //
-// The report (counters, verdict, witness) is identical at every -workers
-// width and under every memo mode; -json output in particular is
-// byte-for-byte reproducible, which CI exploits by diffing a -workers=1
-// run against a -workers=4 run. This holds for fault-aware runs too, even
-// ones that abort on the state budget (the parallel engine falls back to
-// the canonical sequential rerun on any failure).
+// The report (counters, verdict, witness) is identical under either memo
+// (-audit-collisions or not) and from run to run: the exploration is one
+// canonical depth-first search, so -json output is byte-for-byte
+// reproducible, fault-aware runs and runs that abort on the state budget
+// included.
 //
 // Malformed input — a bad flag value, an ID the algorithm rejects, a
 // -flips list whose length differs from -ids — is reported on stderr as
@@ -72,8 +70,8 @@ func main() {
 var errNotVerified = errors.New("instance not verified")
 
 // jsonReport is the -json output. Deliberately excludes anything
-// execution-dependent (worker count, timing): the same instance must
-// produce the same bytes at any parallelism.
+// execution-dependent (timing): the same instance must produce the same
+// bytes on every run.
 type jsonReport struct {
 	Algo           string      `json:"algo"`
 	IDs            []uint64    `json:"ids"`
@@ -111,8 +109,6 @@ func run(args []string, w io.Writer) error {
 	flipsFlag := fs.String("flips", "", "comma-separated 0/1 port flips (alg3)")
 	exploreInits := fs.Bool("explore-inits", false, "also branch over node wake-up interleavings")
 	maxStates := fs.Int("max-states", 1<<22, "state budget (must be positive)")
-	workers := fs.Int("workers", 1, "parallel exploration workers (must be positive)")
-	fingerprintMemo := fs.Bool("fingerprint", true, "memoize 64-bit state fingerprints instead of full keys")
 	auditCollisions := fs.Bool("audit-collisions", false, "keep full keys alongside fingerprints and fail on any collision")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable report on stdout")
 	faultsFlag := fs.String("faults", "", "fault classes to branch over (loss,dup,spurious,crash,restart,corrupt or all); empty disables fault-aware exploration")
@@ -126,8 +122,6 @@ func run(args []string, w io.Writer) error {
 	switch {
 	case *maxStates <= 0:
 		return fmt.Errorf("-max-states must be positive, got %d", *maxStates)
-	case *workers < 1:
-		return fmt.Errorf("-workers must be positive, got %d", *workers)
 	case *faultBudget < 0:
 		return fmt.Errorf("-fault-budget must not be negative, got %d", *faultBudget)
 	}
@@ -181,10 +175,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	memo := check.MemoFullKeys
-	if *fingerprintMemo {
-		memo = check.MemoFingerprint
-	}
+	memo := check.MemoFingerprint
 	if *auditCollisions {
 		memo = check.MemoAudit
 	}
@@ -195,7 +186,6 @@ func run(args []string, w io.Writer) error {
 		Topo:         topo,
 		ExploreInits: *exploreInits,
 		MaxStates:    *maxStates,
-		Workers:      *workers,
 		Memo:         memo,
 	}
 

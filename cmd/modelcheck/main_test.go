@@ -16,8 +16,6 @@ func TestRejectsBadInput(t *testing.T) {
 		want string
 	}{
 		{[]string{"-ids", "3,1,2", "-faults", "loss", "-fault-budget", "-1"}, "-fault-budget must not be negative"},
-		{[]string{"-ids", "3,1,2", "-workers", "-3"}, "-workers must be positive"},
-		{[]string{"-ids", "3,1,2", "-workers", "0"}, "-workers must be positive"},
 		{[]string{"-ids", "3,1,2", "-max-states", "0"}, "-max-states must be positive"},
 		{[]string{"-ids", "0,1"}, "ID must be positive"},
 		{[]string{"-algo", "alg1", "-ids", "0,1"}, "ID must be positive"},

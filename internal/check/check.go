@@ -7,17 +7,16 @@
 // schedule" into machine-checked facts for small instances.
 //
 // Every machine must be node.Undoable, and its SnapshotTo bytes are its
-// whole explored state: its undo record, its memo key, and what a parallel
-// worker restores a handed-off subtree from. A content-oblivious node's
-// state is a few counters and flags, its construction constants are fixed
-// per node index — every Config.NewMachines call must build the same ones
-// — and the memo salts each machine's key by that index. The state
-// space is pruned by memoizing canonical states (each machine's snapshot
-// plus per-channel queue depths and init bits), which keeps the
-// exploration polynomial in ID_max for the paper's algorithms even though
-// the raw schedule tree is exponential.
+// whole explored state: its undo record and its memo key. A
+// content-oblivious node's state is a few counters and flags, its
+// construction constants are fixed per node index, and the memo salts
+// each machine's key by that index. The state space is pruned by
+// memoizing canonical states (each machine's snapshot plus per-channel
+// queue depths and init bits), which keeps the exploration polynomial in
+// ID_max for the paper's algorithms even though the raw schedule tree is
+// exponential.
 //
-// Four engine-level optimizations make larger instances tractable:
+// Three engine-level optimizations make larger instances tractable:
 //
 //   - Undo-based DFS: instead of deep-copying the machine slice per
 //     branch, the explorer snapshots the one machine a step mutates into a
@@ -25,9 +24,8 @@
 //     via an undo log of queue, init-bit, and sent-counter deltas. The
 //     stepper's apply/revert is the only code that executes a step.
 //   - A fingerprint memo table (MemoFingerprint): 64-bit state
-//     fingerprints in open-addressing tables replace the
-//     map[string]struct{} of full keys, eliminating the per-state string
-//     copy. A fingerprint is a sum of per-component hashes — one per
+//     fingerprints in open-addressing tables stand in for full state
+//     keys, so no state is ever copied into the memo. A fingerprint is a sum of per-component hashes — one per
 //     machine, queued pulse and init bit, and in fault mode one per
 //     counted pulse, crashed node, injection-log entry and window count;
 //     the undo stepper keeps the sum current as it applies and reverts
@@ -38,18 +36,13 @@
 //   - Faulted paths prune their violations without formatting them: a
 //     violation after an injection is counted, never shown, so it is the
 //     bare ErrViolation there; clean paths keep the full error text.
-//   - Parallel exploration (Config.Workers > 1): a work-sharing pool over
-//     subtree tasks with the visited set sharded behind per-shard locks.
-//     Every worker runs the undo DFS over machines of its own; it shares a
-//     branch by applying it, copying the successor's machine snapshots,
-//     queues and fault plane into a task, and reverting, and it starts a
-//     task by restoring its machines from the task's snapshots.
-//     Because every path to a state has the same length (each step is one
-//     init or one delivery, both counted by the state itself), the report
-//     counters are functions of the reachable-state closure and therefore
-//     independent of exploration order; on any failure the engine reruns
-//     sequentially so the verdict and witness are the canonical DFS-order
-//     ones at every width.
+//
+// The explorer is one goroutine: Config.Check is never called
+// concurrently, and every counter of a Report is exact. Because every
+// path to a state has the same length (each step is one init, one
+// delivery or one injection, all counted by the state itself), the
+// counters are functions of the reachable-state closure, independent of
+// the order the DFS meets the states in.
 package check
 
 import (
@@ -86,11 +79,7 @@ type Config struct {
 
 	// NewMachines returns fresh machines for the exploration's root state.
 	// Every machine must implement node.Undoable; its snapshot is its undo
-	// record, its memo key and its part of a parallel worker's task. It is
-	// called once for the root, once per parallel worker, and again for
-	// the sequential rerun after a parallel failure; every call must return
-	// machines with the same construction constants (IDs, port labels,
-	// schemes, seeds), which snapshots leave out.
+	// record and its memo key. It is called once per exploration.
 	NewMachines func() ([]node.PulseMachine, error)
 
 	// ExploreInits also branches over node wake-up interleavings. When
@@ -103,14 +92,15 @@ type Config struct {
 	MaxStates int
 
 	// Check is invoked at every distinct terminal state; returning an
-	// error aborts the exploration with a witness schedule attached. When
-	// Workers > 1 the callback is invoked concurrently from multiple
-	// exploration goroutines and must be safe for concurrent use.
+	// error aborts the exploration with a witness schedule attached. It is
+	// called from the exploring goroutine only, one call at a time, so it
+	// need not be safe for concurrent use.
 	Check func(Final) error
 
-	// Workers is the number of parallel exploration workers; values <= 1
-	// select the sequential explorer. Report counts, terminal verdicts,
-	// and the first witness are identical at any width.
+	// Workers once selected a parallel explorer. The field stays while
+	// the election ledger's census still sets it.
+	//
+	// Deprecated: ignored; exploration is sequential.
 	Workers int
 
 	// Memo selects the visited-set representation; the zero value is
@@ -159,12 +149,11 @@ var (
 	ErrNotExplorable = errors.New("check: machine cannot be explored")
 )
 
-// maxDepth bounds the schedule depth of every explored state. Each DFS
-// engine recurses once per step, so depth is goroutine stack depth; the
-// bound keeps a deep instance (a long single-path election, or a
-// divergent fault space) returning ErrDepthBound with its witness instead
-// of overflowing the stack. Every engine applies the same bound, so
-// reports stay identical at any Workers width.
+// maxDepth bounds the schedule depth of every explored state. The DFS
+// recurses once per step, so depth is goroutine stack depth; the bound
+// keeps a deep instance (a long single-path election, or a divergent
+// fault space) returning ErrDepthBound with its witness instead of
+// overflowing the stack.
 const maxDepth = 1 << 20
 
 // depthError is the witness-carrying error for a state at depth beyond
@@ -174,7 +163,7 @@ func depthError(depth int, steps []Step) error {
 }
 
 // machine is what the explorer requires of every node: one snapshot
-// encoding for undo, fault injection, the memo key and parallel handoff.
+// encoding for undo, fault injection and the memo key.
 type machine interface {
 	node.PulseMachine
 	node.Undoable
@@ -217,8 +206,9 @@ func Exhaustive(cfg Config) (Report, error) {
 	return rep.Report, err
 }
 
-// exhaustive validates the configuration and dispatches to an engine; both
-// the faultless and the fault-aware entry points land here.
+// exhaustive validates the configuration, builds the root state and runs
+// the undo explorer over it; both the faultless and the fault-aware entry
+// points land here.
 func exhaustive(cfg Config) (FaultReport, error) {
 	if cfg.Topo.N() == 0 {
 		return FaultReport{}, errors.New("check: empty topology")
@@ -240,14 +230,6 @@ func exhaustive(cfg Config) (FaultReport, error) {
 			cfg.MaxStates = 1 << 22
 		}
 	}
-	if cfg.Workers > 1 {
-		return runParallel(cfg)
-	}
-	return runSequential(cfg)
-}
-
-// runSequential builds the root state and runs the undo explorer over it.
-func runSequential(cfg Config) (FaultReport, error) {
 	root, prefix, err := buildRoot(cfg)
 	if err != nil {
 		return FaultReport{}, err
@@ -263,15 +245,31 @@ func runSequential(cfg Config) (FaultReport, error) {
 	return ex.rep, err
 }
 
-// buildRoot constructs and validates the root state. When ExploreInits is
-// false it also applies the implicit upfront init prefix on a throwaway
-// stepper, returning the steps taken so every witness stays
+// buildRoot constructs the root state from fresh cfg.NewMachines,
+// validating them, with empty queues and no init bits. When ExploreInits
+// is false it also applies the implicit upfront init prefix on a
+// throwaway stepper, returning the steps taken so every witness stays
 // self-contained.
 func buildRoot(cfg Config) (*state, []Step, error) {
 	n := cfg.Topo.N()
-	st, err := newState(cfg)
+	ms, err := cfg.NewMachines()
 	if err != nil {
 		return nil, nil, err
+	}
+	if len(ms) != n {
+		return nil, nil, fmt.Errorf("check: %d machines for %d nodes", len(ms), n)
+	}
+	st := &state{
+		ms:     make([]machine, n),
+		queues: make([]uint32, 2*n),
+		inited: make([]bool, n),
+	}
+	for k, m := range ms {
+		c, ok := m.(machine)
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: machine %d does not implement node.Undoable", ErrNotExplorable, k)
+		}
+		st.ms[k] = c
 	}
 	if cfg.plan.Active() {
 		st.fx = newFaultX(cfg.plan, st.ms)
@@ -288,32 +286,6 @@ func buildRoot(cfg Config) (*state, []Step, error) {
 		}
 	}
 	return st, steps, nil
-}
-
-// newState validates fresh machines from cfg.NewMachines and wraps them in
-// a state with empty queues, no init bits and no fault plane.
-func newState(cfg Config) (*state, error) {
-	n := cfg.Topo.N()
-	ms, err := cfg.NewMachines()
-	if err != nil {
-		return nil, err
-	}
-	if len(ms) != n {
-		return nil, fmt.Errorf("check: %d machines for %d nodes", len(ms), n)
-	}
-	st := &state{
-		ms:     make([]machine, n),
-		queues: make([]uint32, 2*n),
-		inited: make([]bool, n),
-	}
-	for k, m := range ms {
-		c, ok := m.(machine)
-		if !ok {
-			return nil, fmt.Errorf("%w: machine %d does not implement node.Undoable", ErrNotExplorable, k)
-		}
-		st.ms[k] = c
-	}
-	return st, nil
 }
 
 // wrapWitness attaches a copy of the schedule so far to an error.
@@ -392,19 +364,6 @@ func (st *state) violation(format string, args ...any) error {
 		return ErrViolation
 	}
 	return fmt.Errorf("%w: %s", ErrViolation, fmt.Sprintf(format, args...))
-}
-
-// add folds another explorer's report into rep: every counter sums, and
-// MaxDepth is the larger of the two.
-func (rep *FaultReport) add(o FaultReport) {
-	rep.StatesVisited += o.StatesVisited
-	rep.TerminalStates += o.TerminalStates
-	rep.MaxDepth = max(rep.MaxDepth, o.MaxDepth)
-	rep.InjectionEdges += o.InjectionEdges
-	rep.ViolationEdges += o.ViolationEdges
-	rep.CleanTerminals += o.CleanTerminals
-	rep.DegradedTerminals += o.DegradedTerminals
-	rep.StalledTerminals += o.StalledTerminals
 }
 
 // countTerminal records the classification of one faulted terminal state.

@@ -318,23 +318,20 @@ func (m *misrouted) Init(e node.PulseEmitter) { e.Send(pulse.Port(2), pulse.Puls
 
 // TestInvalidSendPortViolation: a send on a port other than Port0 and
 // Port1 is a violation naming the node and the port, as on the simulator
-// and the live runtime, sequentially and in parallel.
+// and the live runtime.
 func TestInvalidSendPortViolation(t *testing.T) {
 	topo, err := ring.Oriented(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		_, err := check.Exhaustive(check.Config{
-			Topo:    topo,
-			Workers: workers,
-			NewMachines: func() ([]node.PulseMachine, error) {
-				return []node.PulseMachine{&misrouted{}, &misrouted{}, &misrouted{}}, nil
-			},
-		})
-		if !errors.Is(err, check.ErrViolation) || !strings.Contains(err.Error(), "node 0 sent on invalid port 2") {
-			t.Errorf("workers=%d: err = %v, want a violation naming node 0 and port 2", workers, err)
-		}
+	_, err = check.Exhaustive(check.Config{
+		Topo: topo,
+		NewMachines: func() ([]node.PulseMachine, error) {
+			return []node.PulseMachine{&misrouted{}, &misrouted{}, &misrouted{}}, nil
+		},
+	})
+	if !errors.Is(err, check.ErrViolation) || !strings.Contains(err.Error(), "node 0 sent on invalid port 2") {
+		t.Errorf("err = %v, want a violation naming node 0 and port 2", err)
 	}
 }
 

@@ -31,12 +31,11 @@ import (
 // (each queued-or-delivered pulse was counted by sent, and each Loss
 // removed an undelivered one from both). All three are functions of the
 // key, so StatesVisited, TerminalStates, MaxDepth, and the outcome
-// counters are functions of the reachable-state closure — identical at any
-// Workers width, exactly as in the faultless explorer. The fingerprint
-// memo relies on it too: it looks a state up only among the states of its
-// own depth class (fpMemo), which is sound only because a state's depth
-// is a function of the state. TestDepthIsStateFunction asserts the
-// identity at every visit.
+// counters are functions of the reachable-state closure, exactly as in the
+// faultless explorer. The fingerprint memo relies on it: it looks a state
+// up only among the states of its own depth class (fpMemo), which is
+// sound only because a state's depth is a function of the state.
+// TestDepthIsStateFunction asserts the identity at every visit.
 //
 // Fault semantics mirror internal/sim's plane handling pulse for pulse:
 // Loss removes a queued pulse and uncounts it from Sent (the simulator
@@ -58,7 +57,7 @@ import (
 
 // FaultReport extends Report with the outcome census of a fault-aware
 // exploration. The counters partition what the injected executions did;
-// all of them are exact and Workers-independent.
+// all of them are exact.
 type FaultReport struct {
 	Report
 
@@ -200,26 +199,6 @@ func newFaultX(plan fault.Plan, ms []machine) *faultX {
 		fx.delivCnt = make([]uint32, 2*n)
 	}
 	return fx
-}
-
-// clone deep-copies the mutable plane; plan and initSnaps are shared.
-func (fx *faultX) clone() *faultX {
-	if fx == nil {
-		return nil
-	}
-	cp := &faultX{
-		plan:      fx.plan,
-		initSnaps: fx.initSnaps,
-		windowed:  fx.windowed,
-		crashed:   append([]bool(nil), fx.crashed...),
-		log:       append([]faultRec(nil), fx.log...),
-	}
-	if fx.windowed {
-		cp.handlerCnt = append([]uint32(nil), fx.handlerCnt...)
-		cp.sendCnt = append([]uint32(nil), fx.sendCnt...)
-		cp.delivCnt = append([]uint32(nil), fx.delivCnt...)
-	}
-	return cp
 }
 
 // faulted reports whether the current path has at least one injection.

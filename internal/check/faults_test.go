@@ -45,8 +45,8 @@ func alg1Config(t *testing.T, ids []uint64) check.Config {
 
 // TestZeroBudgetPlanMatchesFaultless pins the differential the tentpole
 // demands: an inactive fault plan reproduces the faultless checker's
-// report exactly — same states, terminals, depth, verdict — across both
-// engines and worker widths, with every fault counter zero.
+// report exactly — same states, terminals, depth, verdict — with every
+// fault counter zero.
 func TestZeroBudgetPlanMatchesFaultless(t *testing.T) {
 	plans := []fault.Plan{
 		{},
@@ -67,26 +67,22 @@ func TestZeroBudgetPlanMatchesFaultless(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, plan := range plans {
-				for _, workers := range []int{1, 4} {
-					cfg := mk.cfg(t)
-					cfg.Workers = workers
-					rep, err := check.ExhaustiveFaults(cfg, plan)
-					if err != nil {
-						t.Fatalf("plan %d workers %d: %v", i, workers, err)
+				rep, err := check.ExhaustiveFaults(mk.cfg(t), plan)
+				if err != nil {
+					t.Fatalf("plan %d: %v", i, err)
+				}
+				if plan.Active() {
+					if rep.StatesVisited <= base.StatesVisited || rep.InjectionEdges == 0 {
+						t.Errorf("active plan %d: %d states (base %d), %d injections — expected strictly more work",
+							i, rep.StatesVisited, base.StatesVisited, rep.InjectionEdges)
 					}
-					if plan.Active() {
-						if rep.StatesVisited <= base.StatesVisited || rep.InjectionEdges == 0 {
-							t.Errorf("active plan %d: %d states (base %d), %d injections — expected strictly more work",
-								i, rep.StatesVisited, base.StatesVisited, rep.InjectionEdges)
-						}
-						continue
-					}
-					if rep.Report != base {
-						t.Errorf("plan %d workers %d: report %+v, want faultless %+v", i, workers, rep.Report, base)
-					}
-					if rep.InjectionEdges+rep.ViolationEdges+rep.CleanTerminals+rep.DegradedTerminals+rep.StalledTerminals != 0 {
-						t.Errorf("plan %d workers %d: nonzero fault counters %+v", i, workers, rep)
-					}
+					continue
+				}
+				if rep.Report != base {
+					t.Errorf("plan %d: report %+v, want faultless %+v", i, rep.Report, base)
+				}
+				if rep.InjectionEdges+rep.ViolationEdges+rep.CleanTerminals+rep.DegradedTerminals+rep.StalledTerminals != 0 {
+					t.Errorf("plan %d: nonzero fault counters %+v", i, rep)
 				}
 			}
 		})
@@ -94,14 +90,12 @@ func TestZeroBudgetPlanMatchesFaultless(t *testing.T) {
 }
 
 // TestFaultReportsDeterministic asserts the fault-aware explorer's
-// determinism contract: the full FaultReport is identical at every worker
-// width, for every fault class (TestPinnedReports pins each class's
-// report on this instance). Classes that
-// add pulses to the ring (Dup, Spurious, Restart) have divergent state
-// spaces and abort on the state budget — even then every width returns
-// the byte-identical canonical partial report, because the parallel
-// engine discards its run and reruns the sequential canonical DFS on any
-// failure.
+// determinism contract: the full FaultReport is identical run to run,
+// for every fault class (TestPinnedReports pins each class's report on
+// this instance). Classes that add pulses to the ring (Dup, Spurious,
+// Restart) have divergent state spaces and abort on the state budget —
+// even then a rerun returns the identical partial report, because the
+// DFS order is canonical and the hash unseeded.
 func TestFaultReportsDeterministic(t *testing.T) {
 	divergent := map[fault.Class]bool{fault.Dup: true, fault.Spurious: true, fault.Restart: true}
 	classes := []fault.Class{fault.Loss, fault.Dup, fault.Spurious, fault.Crash, fault.Restart, fault.Corrupt}
@@ -125,16 +119,12 @@ func TestFaultReportsDeterministic(t *testing.T) {
 			} else if ref.InjectionEdges == 0 {
 				t.Fatalf("no injections explored for %v", cl)
 			}
-			for _, workers := range []int{2, 4, 7} {
-				cfg := mkCfg()
-				cfg.Workers = workers
-				rep, err := check.ExhaustiveFaults(cfg, plan)
-				if !errors.Is(err, refErr) && (err == nil) != (refErr == nil) {
-					t.Fatalf("workers %d: err = %v, want %v", workers, err, refErr)
-				}
-				if rep != ref {
-					t.Errorf("workers %d: report %+v, want %+v", workers, rep, ref)
-				}
+			rep, err := check.ExhaustiveFaults(mkCfg(), plan)
+			if fmt.Sprint(err) != fmt.Sprint(refErr) {
+				t.Fatalf("rerun: err = %v, want %v", err, refErr)
+			}
+			if rep != ref {
+				t.Errorf("rerun: report %+v, want %+v", rep, ref)
 			}
 			t.Logf("%v: %d states, inj %d, viol %d, clean %d, degraded %d, stalled %d (err=%v)",
 				cl, ref.StatesVisited, ref.InjectionEdges, ref.ViolationEdges,
@@ -146,10 +136,10 @@ func TestFaultReportsDeterministic(t *testing.T) {
 // TestFaultFingerprintMatchesFullKeys is the fault-mode counterpart of
 // TestFingerprintMatchesFullKeys: on the TestFaultReportsDeterministic
 // instance, every fault class (and one windowed plan) explores
-// identically under the fingerprint, full-key and audit memos — same
-// report, same error, same witness. Divergent classes must hit the state
-// budget at the same point, which the identical partial reports and
-// witnesses pin.
+// identically under the fingerprint memo and MemoAudit, which keeps every
+// full key — same report, same error, same witness. Divergent classes
+// must hit the state budget at the same point, which the identical
+// partial reports and witnesses pin.
 func TestFaultFingerprintMatchesFullKeys(t *testing.T) {
 	type planCase struct {
 		name string
@@ -169,16 +159,14 @@ func TestFaultFingerprintMatchesFullKeys(t *testing.T) {
 				cfg.Memo = memo
 				return check.ExhaustiveFaults(cfg, pc.plan)
 			}
-			exactRep, exactErr := run(check.MemoFullKeys)
+			exactRep, exactErr := run(check.MemoAudit)
 			want := outcome(exactRep.Report, exactErr) + fmt.Sprintf(" fault=%+v", exactRep)
-			for _, memo := range []check.MemoMode{check.MemoFingerprint, check.MemoAudit} {
-				rep, err := run(memo)
-				if got := outcome(rep.Report, err) + fmt.Sprintf(" fault=%+v", rep); got != want {
-					t.Errorf("%v memo diverged from full keys:\n %v:   %s\n exact: %s", memo, memo, got, want)
-				}
-				if errors.Is(err, check.ErrStateBudget) != errors.Is(exactErr, check.ErrStateBudget) {
-					t.Errorf("%v memo: err = %v, full keys: %v", memo, err, exactErr)
-				}
+			rep, err := run(check.MemoFingerprint)
+			if got := outcome(rep.Report, err) + fmt.Sprintf(" fault=%+v", rep); got != want {
+				t.Errorf("fingerprint memo diverged from full keys:\n fingerprint: %s\n exact:       %s", got, want)
+			}
+			if errors.Is(err, check.ErrStateBudget) != errors.Is(exactErr, check.ErrStateBudget) {
+				t.Errorf("fingerprint memo: err = %v, full keys: %v", err, exactErr)
 			}
 		})
 	}
@@ -237,8 +225,7 @@ func TestAlg1LossQuiesces(t *testing.T) {
 }
 
 // TestWindowBoundsPositions: a windowed plan admits strictly fewer
-// injection positions than an unbounded one, and stays deterministic
-// across widths.
+// injection positions than an unbounded one.
 func TestWindowBoundsPositions(t *testing.T) {
 	mk := func() check.Config { return alg2Config(t, []uint64{2, 3, 1}, false) }
 	open, err := check.ExhaustiveFaults(mk(), fault.Plan{Classes: fault.NewSet(fault.Loss), Budget: 1})
@@ -252,15 +239,6 @@ func TestWindowBoundsPositions(t *testing.T) {
 	if narrow.InjectionEdges == 0 || narrow.InjectionEdges >= open.InjectionEdges {
 		t.Errorf("window 1: %d injections, unbounded: %d — want 0 < narrow < open",
 			narrow.InjectionEdges, open.InjectionEdges)
-	}
-	cfg := mk()
-	cfg.Workers = 4
-	par, err := check.ExhaustiveFaults(cfg, fault.Plan{Classes: fault.NewSet(fault.Loss), Budget: 1, Window: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par != narrow {
-		t.Errorf("windowed parallel report %+v, want %+v", par, narrow)
 	}
 }
 

@@ -85,7 +85,8 @@ type pinnedCase struct {
 // goldens predate the snapshot memo key: they were produced when every
 // machine had a separate hand-written key encoding, so they also certify
 // that the snapshot merges exactly the states that encoding merged. Each
-// row runs under both the fingerprint and the full-key memo.
+// row runs under both the fingerprint memo and MemoAudit, which keeps
+// every full key.
 func TestPinnedReports(t *testing.T) {
 	oneClass := func(cl fault.Class) fault.Plan { return fault.Plan{Classes: fault.NewSet(cl), Budget: 1} }
 	capped := func(cfg check.Config) check.Config { cfg.MaxStates = 20000; return cfg }
@@ -178,7 +179,7 @@ func TestPinnedReports(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			for _, memo := range []check.MemoMode{check.MemoFingerprint, check.MemoFullKeys} {
+			for _, memo := range []check.MemoMode{check.MemoFingerprint, check.MemoAudit} {
 				cfg := tc.cfg(t)
 				cfg.Memo = memo
 				var got check.FaultReport

@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"sync"
 
 	"coleader/internal/node"
 )
@@ -32,26 +31,18 @@ const (
 	// deterministic and reproducible under MemoAudit.
 	MemoFingerprint MemoMode = iota
 
-	// MemoFullKeys stores the full binary keys: exact, allocation-heavy.
-	MemoFullKeys
-
 	// MemoAudit stores fingerprints AND full keys, and fails the
 	// exploration loudly (ErrFingerprintCollision) if two distinct keys
-	// ever share a fingerprint. Use it to certify a MemoFingerprint run.
+	// ever share a fingerprint. Keeping every full key makes it the exact
+	// reference: use it to certify a MemoFingerprint run.
 	MemoAudit
 )
-
-// keyed reports whether the mode's table needs the full state key beside
-// the fingerprint; MemoFingerprint runs never build one.
-func (m MemoMode) keyed() bool { return m != MemoFingerprint }
 
 // String names the mode.
 func (m MemoMode) String() string {
 	switch m {
 	case MemoFingerprint:
 		return "fingerprint"
-	case MemoFullKeys:
-		return "full-keys"
 	case MemoAudit:
 		return "audit"
 	default:
@@ -188,8 +179,8 @@ func stateFingerprint(st *state, buf []byte) (uint64, []byte) {
 // memoTable is the visited-state set. insert reports whether the state,
 // at the given depth, was new; it errors only in MemoAudit mode, on a
 // fingerprint collision. The key slice is nil in MemoFingerprint mode and
-// otherwise only valid during the call; implementations that retain it
-// must copy.
+// otherwise only valid during the call; auditMemo, which retains it,
+// copies.
 type memoTable interface {
 	insert(depth int, fp uint64, key []byte) (added bool, err error)
 }
@@ -199,8 +190,6 @@ func newMemo(mode MemoMode) (memoTable, error) {
 	switch mode {
 	case MemoFingerprint:
 		return newFpMemo(), nil
-	case MemoFullKeys:
-		return keyMemo{}, nil
 	case MemoAudit:
 		return auditMemo{}, nil
 	default:
@@ -290,17 +279,6 @@ func (c *fpClass) grow() {
 	}
 }
 
-// keyMemo stores full binary keys: the exact (pre-fingerprint) behavior.
-type keyMemo map[string]struct{}
-
-func (m keyMemo) insert(_ int, _ uint64, key []byte) (bool, error) {
-	if _, seen := m[string(key)]; seen {
-		return false, nil
-	}
-	m[string(key)] = struct{}{}
-	return true, nil
-}
-
 // auditMemo maps fingerprint -> full key and fails loudly when two
 // distinct keys share a fingerprint.
 type auditMemo map[uint64]string
@@ -315,38 +293,4 @@ func (m auditMemo) insert(_ int, fp uint64, key []byte) (bool, error) {
 	}
 	m[fp] = string(key)
 	return true, nil
-}
-
-// memoShards spreads a memoTable across mutex-striped shards selected by
-// the top fingerprint bits (the probe index uses the low bits, so shard
-// selection and probing stay independent); in MemoFingerprint mode each
-// shard is a depth-classed fpMemo of its own. It is the only memo form
-// the parallel explorer uses; the sequential engines use the bare tables.
-const memoShardBits = 6
-
-type shardedMemo struct {
-	shards [1 << memoShardBits]struct {
-		mu sync.Mutex
-		t  memoTable
-	}
-}
-
-func newShardedMemo(mode MemoMode) (*shardedMemo, error) {
-	s := &shardedMemo{}
-	for i := range s.shards {
-		t, err := newMemo(mode)
-		if err != nil {
-			return nil, err
-		}
-		s.shards[i].t = t
-	}
-	return s, nil
-}
-
-func (s *shardedMemo) insert(depth int, fp uint64, key []byte) (bool, error) {
-	sh := &s.shards[fp>>(64-memoShardBits)]
-	sh.mu.Lock()
-	added, err := sh.t.insert(depth, fp, key)
-	sh.mu.Unlock()
-	return added, err
 }

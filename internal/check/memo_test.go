@@ -76,23 +76,24 @@ func TestAuditMemo(t *testing.T) {
 	}
 }
 
-// TestShardedMemo: dedup holds across shard boundaries and modes.
-func TestShardedMemo(t *testing.T) {
-	for _, mode := range []MemoMode{MemoFingerprint, MemoFullKeys, MemoAudit} {
-		s, err := newShardedMemo(mode)
+// TestMemoDedup: every mode's table from newMemo admits each state once,
+// at any depth class, and recognises it again across class growth.
+func TestMemoDedup(t *testing.T) {
+	for _, mode := range []MemoMode{MemoFingerprint, MemoAudit} {
+		m, err := newMemo(mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 1000; i++ {
 			key := []byte(fmt.Sprintf("key-%d", i))
-			if added, err := s.insert(0, fingerprint(key), key); err != nil || !added {
+			if added, err := m.insert(i%3, fingerprint(key), key); err != nil || !added {
 				t.Fatalf("%v: insert %d: added=%t err=%v", mode, i, added, err)
 			}
 		}
 		for i := 0; i < 1000; i++ {
 			key := []byte(fmt.Sprintf("key-%d", i))
-			if added, _ := s.insert(0, fingerprint(key), key); added {
-				t.Fatalf("%v: duplicate %d re-added", mode, i)
+			if added, err := m.insert(i%3, fingerprint(key), key); err != nil || added {
+				t.Fatalf("%v: duplicate %d: added=%t err=%v", mode, i, added, err)
 			}
 		}
 	}
@@ -102,7 +103,6 @@ func TestShardedMemo(t *testing.T) {
 func TestMemoModeString(t *testing.T) {
 	for mode, want := range map[MemoMode]string{
 		MemoFingerprint: "fingerprint",
-		MemoFullKeys:    "full-keys",
 		MemoAudit:       "audit",
 		MemoMode(99):    "memo?",
 	} {

@@ -14,9 +14,8 @@ import (
 )
 
 // diffCase is one exploration config the equivalence tests run under
-// every memo/worker combination and against the clone engine's recorded
-// outcomes. Error cases included: they must agree on the failing schedule
-// too.
+// every memo mode and against the clone engine's recorded outcomes. Error
+// cases included: they must agree on the failing schedule too.
 type diffCase struct {
 	name string
 	cfg  check.Config
@@ -26,8 +25,8 @@ func diffCases(t *testing.T) []diffCase {
 	t.Helper()
 	budget := alg2Config(t, []uint64{1, 2, 3}, false)
 	budget.MaxStates = 5
-	// One state short of the instance's 2,993: every width must stop on
-	// it, which holds only if the workers share one state count.
+	// One state short of the instance's 2,993: the exploration stops on
+	// its last state, with every terminal already counted.
 	resampleBudget := resampleConfig(t)
 	resampleBudget.MaxStates = 2992
 	return []diffCase{
@@ -38,7 +37,7 @@ func diffCases(t *testing.T) []diffCase {
 		{"unguarded-13", unguardedConfig(t, []uint64{1, 3})},
 		{"unguarded-132", unguardedConfig(t, []uint64{1, 3, 2})},
 		{"budget", budget},
-		{"resample", resampleConfig(t)}, // its PRNG state reaches other workers in task snapshots
+		{"resample", resampleConfig(t)}, // its snapshot carries PRNG state
 		{"resample-budget", resampleBudget},
 	}
 }
@@ -82,7 +81,7 @@ func outcome(rep check.Report, err error) string {
 	return s
 }
 
-// cloneOutcomes holds each diffCase's outcome under MemoFullKeys as the
+// cloneOutcomes holds each diffCase's outcome under full-key memoization as the
 // clone engine — the pre-undo explorer that deep-copied the machine slice
 // per branch — produced it. They were recorded while that engine and the
 // undo engine still ran side by side and agreed on every case, so they
@@ -129,7 +128,7 @@ func TestUndoMatchesClone(t *testing.T) {
 				t.Fatalf("no recorded clone outcome for %s", c.name)
 			}
 			cfg := c.cfg
-			cfg.Memo = check.MemoFullKeys
+			cfg.Memo = check.MemoAudit
 			if got := outcome(check.Exhaustive(cfg)); got != want {
 				t.Errorf("undo engine diverged from the clone engine's outcome:\n undo:  %s\n clone: %s", got, want)
 			}
@@ -138,75 +137,24 @@ func TestUndoMatchesClone(t *testing.T) {
 }
 
 // TestFingerprintMatchesFullKeys: the fingerprint memo must not change any
-// exploration outcome (no collisions on these instances — certified by the
-// audit mode pass).
+// exploration outcome against MemoAudit, which keeps every full key (no
+// collisions on these instances — the audit itself certifies that).
 func TestFingerprintMatchesFullKeys(t *testing.T) {
 	for _, c := range diffCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			exact := c.cfg
-			exact.Memo = check.MemoFullKeys
+			exact.Memo = check.MemoAudit
 			exactRep, exactErr := check.Exhaustive(exact)
 
-			for _, memo := range []check.MemoMode{check.MemoFingerprint, check.MemoAudit} {
-				fp := c.cfg
-				fp.Memo = memo
-				fpRep, fpErr := check.Exhaustive(fp)
-				if got, want := outcome(fpRep, fpErr), outcome(exactRep, exactErr); got != want {
-					t.Errorf("%v memo diverged from full keys:\n %v:   %s\n exact: %s", memo, memo, got, want)
-				}
+			fp := c.cfg
+			fp.Memo = check.MemoFingerprint
+			fpRep, fpErr := check.Exhaustive(fp)
+			if got, want := outcome(fpRep, fpErr), outcome(exactRep, exactErr); got != want {
+				t.Errorf("fingerprint memo diverged from full keys:\n fingerprint: %s\n exact:       %s", got, want)
 			}
 		})
 	}
-}
-
-// TestParallelMatchesSequential: at every worker width the parallel
-// explorer must return the identical Report, and on failures the identical
-// error and first witness (via the sequential-rerun contract).
-func TestParallelMatchesSequential(t *testing.T) {
-	for _, c := range diffCases(t) {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			seq := c.cfg
-			seq.Workers = 1
-			seqRep, seqErr := check.Exhaustive(seq)
-			want := outcome(seqRep, seqErr)
-
-			for _, w := range []int{2, 4, 8} {
-				par := c.cfg
-				par.Workers = w
-				parRep, parErr := check.Exhaustive(par)
-				if got := outcome(parRep, parErr); got != want {
-					t.Errorf("workers=%d diverged from sequential:\n par: %s\n seq: %s", w, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelLargerInstance runs a bigger ring at several widths: the
-// counters still agree exactly with the sequential run.
-func TestParallelLargerInstance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	cfg := alg2Config(t, []uint64{5, 1, 4, 2}, false)
-	seqRep, err := check.Exhaustive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4} {
-		par := cfg
-		par.Workers = w
-		parRep, err := check.Exhaustive(par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if parRep != seqRep {
-			t.Errorf("workers=%d report %+v, sequential %+v", w, parRep, seqRep)
-		}
-	}
-	t.Logf("4-node alg2: %d states, depth %d", seqRep.StatesVisited, seqRep.MaxDepth)
 }
 
 // deafMachine sends one pulse at init but never accepts delivery: every
@@ -255,30 +203,27 @@ func (f *faultyInit) Status() node.Status {
 }
 
 // TestInitPrefixViolation: a violation inside the upfront init prefix
-// (ExploreInits false) aborts before any exploration, at every width,
-// with the prefix up to the failing init as its witness.
+// (ExploreInits false) aborts before any exploration, with the prefix up
+// to the failing init as its witness.
 func TestInitPrefixViolation(t *testing.T) {
 	topo, err := ring.Oriented(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 2} {
-		rep, err := check.Exhaustive(check.Config{
-			Topo:    topo,
-			Workers: w,
-			NewMachines: func() ([]node.PulseMachine, error) {
-				return []node.PulseMachine{&faultyInit{}, &faultyInit{}}, nil
-			},
-		})
-		if !errors.Is(err, check.ErrViolation) || !strings.Contains(err.Error(), "node 0: init fault") {
-			t.Fatalf("workers=%d: err = %v, want node 0's init fault as ErrViolation", w, err)
-		}
-		if steps, ok := check.Witness(err); !ok || fmt.Sprint(steps) != "[init 0]" {
-			t.Errorf("workers=%d: witness %v (attached %v), want [init 0]", w, steps, ok)
-		}
-		if rep != (check.Report{}) {
-			t.Errorf("workers=%d: report %+v, want zero", w, rep)
-		}
+	rep, err := check.Exhaustive(check.Config{
+		Topo: topo,
+		NewMachines: func() ([]node.PulseMachine, error) {
+			return []node.PulseMachine{&faultyInit{}, &faultyInit{}}, nil
+		},
+	})
+	if !errors.Is(err, check.ErrViolation) || !strings.Contains(err.Error(), "node 0: init fault") {
+		t.Fatalf("err = %v, want node 0's init fault as ErrViolation", err)
+	}
+	if steps, ok := check.Witness(err); !ok || fmt.Sprint(steps) != "[init 0]" {
+		t.Errorf("witness %v (attached %v), want [init 0]", steps, ok)
+	}
+	if rep != (check.Report{}) {
+		t.Errorf("report %+v, want zero", rep)
 	}
 }
 
@@ -339,11 +284,10 @@ func (f *forever) Restore(snap []byte)          { f.fwd = node.Key64(snap) }
 
 // TestDepthBound: a schedule deeper than the explorer's recursion bound
 // (2^20 steps) ends in ErrDepthBound — an ErrStateBudget carrying the
-// witness and naming the depth — well inside the default state budget,
-// with the same report at any width. Reaching the bound runs the
-// sequential engine 2^20 frames deep, so a recursive frame that grows
-// past the goroutine stack's share (512 MB / 2^20 = 512 B) turns this
-// test into a stack-overflow crash.
+// witness and naming the depth — well inside the default state budget.
+// Reaching the bound runs the explorer 2^20 frames deep, so a recursive
+// frame that grows past the goroutine stack's share (512 MB / 2^20 =
+// 512 B) turns this test into a stack-overflow crash.
 func TestDepthBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -356,30 +300,22 @@ func TestDepthBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reports []check.Report
-	for _, w := range []int{1, 2} {
-		rep, err := check.Exhaustive(check.Config{
-			Topo:        topo,
-			Workers:     w,
-			NewMachines: func() ([]node.PulseMachine, error) { return []node.PulseMachine{&forever{}}, nil },
-		})
-		if !errors.Is(err, check.ErrDepthBound) || !errors.Is(err, check.ErrStateBudget) {
-			t.Fatalf("workers=%d: err = %v, want ErrDepthBound wrapping ErrStateBudget", w, err)
-		}
-		if want := fmt.Sprintf("depth %d", bound+1); !strings.Contains(err.Error(), want) {
-			t.Errorf("workers=%d: error %q does not name %q", w, err, want)
-		}
-		// The witness is the init step plus one delivery per level.
-		if steps, ok := check.Witness(err); !ok || len(steps) != bound+2 {
-			t.Errorf("workers=%d: witness of %d steps (attached %v), want %d", w, len(steps), ok, bound+2)
-		}
-		reports = append(reports, rep)
+	rep, err := check.Exhaustive(check.Config{
+		Topo:        topo,
+		NewMachines: func() ([]node.PulseMachine, error) { return []node.PulseMachine{&forever{}}, nil },
+	})
+	if !errors.Is(err, check.ErrDepthBound) || !errors.Is(err, check.ErrStateBudget) {
+		t.Fatalf("err = %v, want ErrDepthBound wrapping ErrStateBudget", err)
 	}
-	want := check.Report{StatesVisited: bound + 1, MaxDepth: bound}
-	for i, rep := range reports {
-		if rep != want {
-			t.Errorf("report %d = %+v, want %+v", i, rep, want)
-		}
+	if want := fmt.Sprintf("depth %d", bound+1); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %q", err, want)
+	}
+	// The witness is the init step plus one delivery per level.
+	if steps, ok := check.Witness(err); !ok || len(steps) != bound+2 {
+		t.Errorf("witness of %d steps (attached %v), want %d", len(steps), ok, bound+2)
+	}
+	if want := (check.Report{StatesVisited: bound + 1, MaxDepth: bound}); rep != want {
+		t.Errorf("report = %+v, want %+v", rep, want)
 	}
 }
 
@@ -414,10 +350,6 @@ func TestScalingValidation(t *testing.T) {
 	bad.Memo = check.MemoMode(99)
 	if _, err := check.Exhaustive(bad); err == nil {
 		t.Error("unknown memo mode accepted")
-	}
-	bad.Workers = 2
-	if _, err := check.Exhaustive(bad); err == nil {
-		t.Error("unknown memo mode accepted (parallel)")
 	}
 }
 

@@ -74,9 +74,10 @@ func (sp *stepper) reset(st *state) {
 // component sum.
 func (sp *stepper) fingerprint() uint64 { return mix64(sp.sum) }
 
-// memoKey is the full state key when the memo mode needs one, else nil.
+// memoKey is the full state key when the memo mode needs one (MemoAudit),
+// else nil.
 func (sp *stepper) memoKey(mode MemoMode) []byte {
-	if !mode.keyed() {
+	if mode != MemoAudit {
 		return nil
 	}
 	return sp.key()
@@ -273,19 +274,13 @@ func (sp *stepper) terminalOutcome(check func(Final) error) (int, error) {
 
 // undoExplorer is the exploration engine: depth-first over one mutable
 // state, backtracking through the stepper's undo frames instead of
-// cloning per branch. The sequential engine runs one; the parallel engine
-// runs one per worker, each with pool set.
+// cloning per branch.
 type undoExplorer struct {
 	stepper
 	cfg   Config
 	memo  memoTable
 	rep   FaultReport
-	steps []Step // schedule from the root (a worker: from its task) to the current state
-
-	// pool is the parallel engine's shared work pool; nil in the
-	// sequential engine. Only the peel, the state budget and the abandon
-	// check read it.
-	pool *parExplorer
+	steps []Step // schedule from the root to the current state
 }
 
 // dfs explores everything reachable from the current state, which sits
@@ -303,14 +298,9 @@ func (ex *undoExplorer) dfs(depth int) error {
 		}
 		ex.steps = append(ex.steps, step)
 		fr, err := ex.apply(step)
-		switch {
-		case err != nil:
+		if err != nil {
 			err = ex.stepFailed(err)
-		case ex.pool != nil && ex.peel(depth+1):
-			// Reassigning err keeps it from living across the peel
-			// call, which would widen the recursive frame.
-			err = nil
-		default:
+		} else {
 			err = ex.dfs(depth + 1)
 		}
 		ex.steps = ex.steps[:len(ex.steps)-1]
@@ -326,14 +316,11 @@ func (ex *undoExplorer) dfs(depth int) error {
 // visit records the current state, at the given depth, in the memo and
 // the report and pushes its choices — protocol steps, then fault branches
 // — onto the choice arena. base < 0 means the state was already visited.
-// It, stepFailed and peel are kept out of dfs so that their temporaries
-// do not widen the recursive frame: dfs recurses once per step, up to
-// maxDepth deep, and its frame (216 bytes on amd64) times 2^20 must fit
-// the goroutine stack.
+// It and stepFailed are kept out of dfs so that their temporaries do not
+// widen the recursive frame: dfs recurses once per step, up to maxDepth
+// deep, and its frame (216 bytes on amd64) times 2^20 must fit the
+// goroutine stack.
 func (ex *undoExplorer) visit(depth int) (base, fend int, err error) {
-	if ex.pool != nil && ex.pool.failed.Load() {
-		return -1, 0, errAbandoned
-	}
 	added, merr := ex.memo.insert(depth, ex.fingerprint(), ex.memoKey(ex.cfg.Memo))
 	if merr != nil {
 		return -1, 0, wrapWitness(merr, ex.steps)
@@ -341,7 +328,7 @@ func (ex *undoExplorer) visit(depth int) (base, fend int, err error) {
 	if !added {
 		return -1, 0, nil
 	}
-	if ex.overBudget() {
+	if ex.rep.StatesVisited >= ex.cfg.MaxStates {
 		return -1, 0, wrapWitness(fmt.Errorf("%w (%d)", ErrStateBudget, ex.cfg.MaxStates), ex.steps)
 	}
 	if depth > maxDepth {
@@ -370,15 +357,6 @@ func (ex *undoExplorer) visit(depth int) (base, fend int, err error) {
 		fend = ex.pushFaultChoices()
 	}
 	return base, fend, nil
-}
-
-// overBudget reports whether one more state exceeds MaxStates: counted
-// by the explorer itself, or in a pool by every worker together.
-func (ex *undoExplorer) overBudget() bool {
-	if ex.pool != nil {
-		return ex.pool.states.Add(1) > int64(ex.cfg.MaxStates)
-	}
-	return ex.rep.StatesVisited >= ex.cfg.MaxStates
 }
 
 // stepFailed classifies a failed apply: on an already-faulted path a

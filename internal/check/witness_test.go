@@ -224,29 +224,25 @@ func TestCleanPathViolationTexts(t *testing.T) {
 	}
 	plan := fault.Plan{Classes: fault.NewSet(fault.Loss, fault.Crash, fault.Corrupt), Budget: 1}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 2} {
-			for _, faulty := range []bool{false, true} {
-				cfg := tc.cfg
-				cfg.Workers = workers
-				var err error
-				if faulty {
-					_, err = check.ExhaustiveFaults(cfg, plan)
-				} else {
-					_, err = check.Exhaustive(cfg)
-				}
-				name := fmt.Sprintf("%s workers=%d faults=%t", tc.name, workers, faulty)
-				if err == nil || err.Error() != tc.want {
-					t.Errorf("%s: err = %q, want %q", name, err, tc.want)
-					continue
-				}
-				steps, ok := check.Witness(err)
-				if !ok {
-					t.Errorf("%s: no witness", name)
-					continue
-				}
-				if _, rerr := check.Replay(cfg, steps); rerr == nil || rerr.Error() != tc.wantReplay {
-					t.Errorf("%s: replay err = %q, want %q", name, rerr, tc.wantReplay)
-				}
+		for _, faulty := range []bool{false, true} {
+			var err error
+			if faulty {
+				_, err = check.ExhaustiveFaults(tc.cfg, plan)
+			} else {
+				_, err = check.Exhaustive(tc.cfg)
+			}
+			name := fmt.Sprintf("%s faults=%t", tc.name, faulty)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("%s: err = %q, want %q", name, err, tc.want)
+				continue
+			}
+			steps, ok := check.Witness(err)
+			if !ok {
+				t.Errorf("%s: no witness", name)
+				continue
+			}
+			if _, rerr := check.Replay(tc.cfg, steps); rerr == nil || rerr.Error() != tc.wantReplay {
+				t.Errorf("%s: replay err = %q, want %q", name, rerr, tc.wantReplay)
 			}
 		}
 	}

@@ -51,9 +51,9 @@ type PulseEmitter = Emitter[pulse.Pulse]
 // Cloneable is a machine that deep-copies itself.
 //
 // Deprecated: no package requires or implements it. The exhaustive
-// explorer (internal/check) needs only Undoable: its parallel workers hand
-// subtrees to each other as machine snapshots. The declaration stays while
-// the election ledger's tests still name it.
+// explorer (internal/check) needs only Undoable: it backtracks by
+// restoring snapshots and never copies a machine. The declaration stays
+// while the election ledger's tests still name it.
 type Cloneable[M any] interface {
 	Machine[M]
 
